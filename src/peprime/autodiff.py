@@ -6,10 +6,15 @@ gradients into ``Var.grad``. Parameters live in a ``ParameterRegistry``
 keyed by stable string ids, each tagged with the partition it belongs to
 (PRETRAINED / LIGHTWEIGHT / HEAD).
 
-Gradients accumulate additively: registries keep per-parameter ``.grad``
-buffers that must be explicitly zeroed between optimizer steps.
-Parameters that do not participate in a loss get an all-zero gradient
-(never an absent entry) from ``grads_for``.
+Every ``Var`` carries ``requires_grad``. A leaf sets it (default true); any
+other node requires a gradient iff one of its parents does. ``backward``
+visits only nodes that require a gradient, and each backward closure skips
+the operands that do not, so a frozen partition costs no backward work.
+The gradients of the nodes that do require one are computed by the same
+ops in the same order as in a full backward, so they are bit-identical.
+
+``grads_for`` returns an entry for every leaf that requires a gradient
+(all zeros when the leaf is off the loss's tape) and none for the others.
 """
 
 from __future__ import annotations
@@ -48,14 +53,24 @@ class Partition(enum.Enum):
 
 
 class Var:
-    """One node on the tape: a value, a grad slot, and a backward closure."""
+    """One node on the tape: a value, a grad slot, and a backward closure.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    ``requires_grad`` is given for a leaf; a node with parents derives it.
+    """
 
-    def __init__(self, data, parents=(), backward=None):
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, data, parents=(), backward=None, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = tuple(parents)
+        self._parents = parents = tuple(parents)
+        if parents:
+            requires_grad = False
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self._backward = backward
 
     @property
@@ -93,8 +108,10 @@ def add(a: Var, b: Var) -> Var:
     out = Var(a.data + b.data, (a, b))
 
     def bwd(g):
-        a._accum(g)
-        b._accum(g.sum(axis=0) if row_broadcast else g)
+        if a.requires_grad:
+            a._accum(g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0) if row_broadcast else g)
 
     out._backward = bwd
     return out
@@ -110,8 +127,10 @@ def mul(a: Var, b: Var) -> Var:
     out = Var(a.data * b.data, (a, b))
 
     def bwd(g):
-        a._accum(g * b.data)
-        b._accum(g * a.data)
+        if a.requires_grad:
+            a._accum(g * b.data)
+        if b.requires_grad:
+            b._accum(g * a.data)
 
     out._backward = bwd
     return out
@@ -129,8 +148,10 @@ def matmul(a: Var, b: Var) -> Var:
     out = Var(a.data @ b.data, (a, b))
 
     def bwd(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
+        if a.requires_grad:
+            a._accum(g @ b.data.T)
+        if b.requires_grad:
+            b._accum(a.data.T @ g)
 
     out._backward = bwd
     return out
@@ -168,7 +189,8 @@ def concat_cols(parts) -> Var:
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p._accum(g[:, lo:hi])
+            if p.requires_grad:
+                p._accum(g[:, lo:hi])
 
     out._backward = bwd
     return out
@@ -251,11 +273,13 @@ def layer_norm(x: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
     out = Var(xhat * gain.data + bias.data, (x, gain, bias))
 
     def bwd(g):
-        gain._accum((g * xhat).sum(axis=0))
-        bias._accum(g.sum(axis=0))
-        gy = g * gain.data
-        n = x.data.shape[1]
-        x._accum(inv * (gy - gy.mean(axis=1, keepdims=True) - xhat * (gy * xhat).mean(axis=1, keepdims=True)))
+        if gain.requires_grad:
+            gain._accum((g * xhat).sum(axis=0))
+        if bias.requires_grad:
+            bias._accum(g.sum(axis=0))
+        if x.requires_grad:
+            gy = g * gain.data
+            x._accum(inv * (gy - gy.mean(axis=1, keepdims=True) - xhat * (gy * xhat).mean(axis=1, keepdims=True)))
 
     out._backward = bwd
     return out
@@ -292,9 +316,11 @@ def cross_entropy_mean(logits: Var, gold, keep_mask=None) -> Var:
 
 
 def backward(loss: Var) -> None:
-    """Reverse sweep from a scalar loss; fills ``.grad`` along the tape."""
+    """Reverse sweep from a scalar loss; fills ``.grad`` of the nodes that require one."""
     if loss.data.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        return
     order, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, done = stack.pop()
@@ -306,7 +332,7 @@ def backward(loss: Var) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.asarray(1.0)
     for node in reversed(order):
@@ -315,28 +341,35 @@ def backward(loss: Var) -> None:
 
 
 def grads_for(loss: Var, leaves: dict) -> dict:
-    """Run backward and return {id: gradient array} for the given leaf Vars.
+    """Run backward and return {id: gradient array} for the leaves that require one.
 
-    Leaves off the loss's tape get zeros.
+    Such leaves off the loss's tape get zeros; the other leaves get no entry.
     """
     backward(loss)
     return {
         pid: (v.grad if v.grad is not None else np.zeros_like(v.data))
-        for pid, v in leaves.items()
+        for pid, v in leaves.items() if v.requires_grad
     }
 
 
 @dataclass
 class Tensor:
-    """A dense float64 array plus an additively-accumulated gradient buffer."""
+    """A dense float64 array; read-only, and not replaceable, while frozen."""
 
     data: np.ndarray
-    grad: np.ndarray | None = None
+    frozen: bool = False
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.grad is not None and self.grad.shape != self.data.shape:
-            raise ShapeMismatchError("tensor_grad", self.data.shape, self.grad.shape)
+
+    def __setattr__(self, name, value):
+        if name == "data" and self.frozen:
+            raise ContractError("cannot replace a frozen parameter; unfreeze its partition first")
+        object.__setattr__(self, name, value)
+
+    def set_frozen(self, frozen: bool):
+        self.data.flags.writeable = not frozen
+        self.frozen = frozen
 
     @property
     def shape(self):
@@ -388,25 +421,21 @@ class ParameterRegistry:
             if partition is None or p.partition is partition
         )
 
-    def leaf_vars(self) -> dict:
-        """Fresh graph leaves for every parameter, keyed by id."""
-        return {p.id: Var(p.value.data) for p in self._params.values()}
+    def leaf_vars(self, frozen=()) -> dict:
+        """Fresh graph leaves for every parameter, keyed by id.
 
-    def zero_grad(self):
-        for p in self._params.values():
-            p.value.grad = None
-
-    def accumulate_grads(self, grads: dict):
-        for pid, g in grads.items():
-            t = self._params[pid].value
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad += g
+        Leaves of the ``frozen`` partitions do not require a gradient.
+        """
+        return {p.id: Var(p.value.data, requires_grad=p.partition not in frozen)
+                for p in self._params.values()}
 
     def snapshot(self) -> dict:
         return {pid: p.value.data.copy() for pid, p in self._params.items()}
 
     def restore(self, snap: dict):
+        frozen = [pid for pid in snap if self._params[pid].value.frozen]
+        if frozen:
+            raise ContractError(f"cannot restore frozen parameters {frozen}; unfreeze them first")
         for pid, arr in snap.items():
             self._params[pid].value.data = arr.copy()
 

@@ -29,7 +29,7 @@ from .finetune import (
     run_matrix,
 )
 from .model import ModelConfig, PartitionedModel
-from .priming import PrimingConfig, ft_prime, prime
+from .priming import PrimingConfig, TrainingDiverged, ft_prime, prime
 
 
 class ConfigError(ValueError):
@@ -108,20 +108,26 @@ def _language_specs(syn: dict):
 
 
 def build_corpora(cfg: dict):
-    """(source corpora, target corpora) per the config's data section."""
+    """(source corpora, target corpora) per the config's data section.
+
+    Sentences longer than ``model.max_seq_len`` are truncated and counted
+    in each corpus's ``truncated_sequences``, for CoNLL and synthetic data alike.
+    """
     dcfg = cfg["data"]
+    max_len = cfg["model"]["max_seq_len"]
     if "conll" in dcfg:
         paths = dcfg["conll"]
-        max_len = cfg["model"]["max_seq_len"]
         sources = {l: D.load_conll(p, max_len) for l, p in paths["sources"].items()}
         targets = {l: D.load_conll(p, max_len) for l, p in paths["targets"].items()}
         return sources, targets
     syn = dcfg["synthetic"]
     specs = _language_specs(syn)
-    sources = {l: D.generate_language(specs[l], syn["n_sentences_source"])
-               for l in syn["sources"]}
-    targets = {l: D.generate_language(specs[l], syn["n_sentences_target"])
-               for l in syn["targets"]}
+
+    def generate(lang, n):
+        return D.truncate_corpus(D.generate_language(specs[lang], n), max_len)
+
+    sources = {l: generate(l, syn["n_sentences_source"]) for l in syn["sources"]}
+    targets = {l: generate(l, syn["n_sentences_target"]) for l in syn["targets"]}
     return sources, targets
 
 
@@ -367,7 +373,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ad.CheckpointError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, ad.CheckpointError, ad.ContractError, TrainingDiverged,
+            FileNotFoundError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

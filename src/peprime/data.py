@@ -108,11 +108,28 @@ def bio_spans(labels):
 
 # --- CoNLL column format --------------------------------------------------
 
+def truncate_corpus(corpus: Corpus, max_seq_len: int | None) -> Corpus:
+    """Cut every sequence longer than ``max_seq_len`` in place and count it.
+
+    Returns ``corpus``; a corpus whose sequences all fit is left untouched.
+    """
+    if max_seq_len is None:
+        return corpus
+    for i, seq in enumerate(corpus.sequences):
+        if len(seq.tokens) > max_seq_len:
+            # truncation can cut a span; re-repair keeps labels valid
+            labels, _ = repair_bio(seq.labels[:max_seq_len])
+            corpus.sequences[i] = TaggedSequence(seq.tokens[:max_seq_len], labels)
+            corpus.truncated_sequences += 1
+    return corpus
+
+
 def load_conll(path, max_seq_len: int | None = None) -> Corpus:
     """Read token<TAB>tag lines with blank-line sentence separators.
 
     Invalid BIO transitions are repaired (I-X -> B-X) and counted;
-    unknown tags raise with the offending line number.
+    unknown tags raise with the offending line number. Sequences longer
+    than ``max_seq_len`` are truncated by ``truncate_corpus``.
     """
     corpus = Corpus()
     tokens, labels = [], []
@@ -123,11 +140,6 @@ def load_conll(path, max_seq_len: int | None = None) -> Corpus:
             return
         fixed, n = repair_bio(labels)
         corpus.repaired_labels += n
-        if max_seq_len is not None and len(tokens) > max_seq_len:
-            tokens, fixed = tokens[:max_seq_len], fixed[:max_seq_len]
-            # truncation can cut a span; re-repair keeps labels valid
-            fixed, _ = repair_bio(fixed)
-            corpus.truncated_sequences += 1
         corpus.sequences.append(TaggedSequence(tokens, fixed))
         tokens, labels = [], []
 
@@ -146,7 +158,7 @@ def load_conll(path, max_seq_len: int | None = None) -> Corpus:
             tokens.append(token)
             labels.append(tag)
     flush()
-    return corpus
+    return truncate_corpus(corpus, max_seq_len)
 
 
 def write_conll(corpus: Corpus, path):

@@ -1,4 +1,10 @@
-"""Downstream fine-tuning settings and entity-level micro F1 evaluation."""
+"""Downstream fine-tuning settings and entity-level micro F1 evaluation.
+
+``finetune`` freezes every partition its setting does not train on its
+private clone for the whole run (``PartitionedModel.freeze``): no
+gradient flows into them, and with the encoder frozen each train and
+validation sequence is encoded once. The returned model is unfrozen.
+"""
 
 from __future__ import annotations
 
@@ -163,6 +169,7 @@ def finetune(init_model: PartitionedModel, setting: FineTuneSetting,
     model.add_head(TARGET_HEAD, rng)
 
     parts = trainable_partitions(setting)
+    model.freeze(set(Partition) - set(parts))
     train_ids = [pid for part in parts for pid in model.registry.ids(part)]
     optimizer = AdamW(train_ids)
     lr = hyper.lr_for(setting)
@@ -193,6 +200,7 @@ def finetune(init_model: PartitionedModel, setting: FineTuneSetting,
             if f1 > best_f1:
                 best_f1 = f1
                 best_snap = model.registry.snapshot()
+    model.freeze()
     model.registry.restore(best_snap)
     return FineTuneResult(model, best_f1, trace)
 

@@ -7,6 +7,16 @@ tagged HEAD. Logits for a sequence are head(adapter(encoder(tokens))).
 
 The adapter carries a residual connection by default, so a zero adapter
 is exactly the identity map on hidden states.
+
+Frozen partitions: ``PartitionedModel.freeze(partitions)`` is the one
+place that states which partitions do not train; nothing is frozen by
+default and ``clone()`` returns an unfrozen copy. Graph leaves of frozen
+partitions do not require a gradient, so backward never enters them, and
+their arrays are read-only: an in-place write raises ``ValueError``,
+replacing one raises ``ContractError``. While the encoder (PRETRAINED) is
+frozen its output is a constant, so ``logits`` encodes each distinct
+(token ids, pad mask) once and reuses the stored hidden states; freezing
+again drops them.
 """
 
 from __future__ import annotations
@@ -67,6 +77,8 @@ class PartitionedModel:
                  registry: ad.ParameterRegistry | None = None):
         self.config = config
         self.has_adapter = has_adapter
+        self.frozen = ()
+        self._encodings = {}
         if registry is not None:
             self.registry = registry
             return
@@ -122,8 +134,21 @@ class PartitionedModel:
         return ids
 
     def clone(self) -> "PartitionedModel":
+        """An unfrozen deep copy."""
         return PartitionedModel(self.config, has_adapter=self.has_adapter,
                                 registry=self.registry.deep_copy())
+
+    def freeze(self, partitions=()):
+        """Set the partitions that do not train; ``freeze()`` unfreezes everything.
+
+        ``frozen`` keeps them as a tuple in ``Partition`` order: membership
+        tests on it compare by identity, which is cheaper than hashing enums.
+        """
+        partitions = set(partitions)
+        self.frozen = tuple(p for p in Partition if p in partitions)
+        for p in self.registry:
+            p.value.set_frozen(p.partition in self.frozen)
+        self._encodings = {}
 
     # --- forward graphs ---------------------------------------------------
 
@@ -176,11 +201,25 @@ class PartitionedModel:
         return ad.add(ad.matmul(adapted, leaves[f"head.{head}.w"]), leaves[f"head.{head}.b"])
 
     def logits(self, token_ids, pad_mask, head: str, leaves=None):
-        """Full composition head(adapter(encoder(x))). Returns (logits, leaves)."""
+        """Full composition head(adapter(encoder(x))). Returns (logits, leaves).
+
+        ``leaves`` must come from this model's registry. While the encoder
+        is frozen, its output for a given input is computed once and then
+        fed back as a constant.
+        """
         self.head_ids(head)
         if leaves is None:
-            leaves = self.registry.leaf_vars()
-        x = self.encode(token_ids, pad_mask, leaves)
+            leaves = self.registry.leaf_vars(self.frozen)
+        if Partition.PRETRAINED in self.frozen:
+            key = (np.asarray(token_ids, dtype=np.int64).tobytes(),
+                   np.asarray(pad_mask, dtype=bool).tobytes())
+            hidden = self._encodings.get(key)
+            if hidden is None:
+                hidden = self._encodings[key] = self.encode(token_ids, pad_mask, leaves).data
+                hidden.flags.writeable = False
+            x = Var(hidden, requires_grad=False)
+        else:
+            x = self.encode(token_ids, pad_mask, leaves)
         if self.has_adapter:
             x = self.adapt(x, leaves)
         return self.classify(x, head, leaves), leaves
@@ -190,9 +229,10 @@ class PartitionedModel:
 
         ``batch`` is a list of (token_ids, label_ids) pairs; every
         sequence contributes its positions to one shared mean.
-        Returns (loss Var, leaves).
+        Returns (loss Var, leaves); leaves of frozen partitions do not
+        require a gradient.
         """
-        leaves = self.registry.leaf_vars()
+        leaves = self.registry.leaf_vars(self.frozen)
         logit_rows, gold, keep = [], [], []
         for token_ids, label_ids in batch:
             token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -217,7 +257,8 @@ def _stack_rows(parts):
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p._accum(g[lo:hi])
+            if p.requires_grad:
+                p._accum(g[lo:hi])
 
     out._backward = bwd
     return out

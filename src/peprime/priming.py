@@ -3,7 +3,11 @@
 The inner loop simulates parameter-efficient fine-tuning on each task's
 support set (SGD on adapter + head only; the encoder stays frozen unless
 ``inner_mode="full_maml"``, which also updates the encoder at its own,
-lower learning rate). The outer loop applies first-order meta-gradients:
+lower learning rate). In pe_sim mode the inner loop freezes PRETRAINED on
+its private clone (``PartitionedModel.freeze``), so the support steps run
+no encoder backward and reuse each sequence's encoding; the clone is
+unfrozen before it is returned, because the query gradient needs θ_p.
+The outer loop applies first-order meta-gradients:
 the query-set gradient evaluated at the adapted parameters, summed over
 the task batch, is fed to AdamW as a direct gradient at the shared
 starting point for the encoder and adapter partitions. The head is
@@ -121,6 +125,8 @@ def inner_adapt(model: PartitionedModel, task, cfg: PrimingConfig, rng,
     light_ids = reg.ids(Partition.LIGHTWEIGHT) + adapted.head_ids(head)
     pretrained_ids = reg.ids(Partition.PRETRAINED)
     batches = task.support_batches(cfg.support_batch_size, rng)
+    if cfg.inner_mode == "pe_sim":
+        adapted.freeze((Partition.PRETRAINED,))
     for _ in range(cfg.inner_steps):
         loss, leaves = adapted.batch_loss(next(batches), head)
         result.support_losses.append(float(loss.data))
@@ -129,6 +135,7 @@ def inner_adapt(model: PartitionedModel, task, cfg: PrimingConfig, rng,
             sgd_step(reg, grads, light_ids + pretrained_ids, cfg.alpha_full)
         else:
             sgd_step(reg, grads, light_ids, cfg.alpha)
+    adapted.freeze()
     return result
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from peprime import autodiff as ad
 from peprime.autodiff import Partition, Var
+from peprime.model import PartitionedModel, desk_config
 
 
 def quadratic_loss(w):
@@ -147,6 +148,102 @@ class TestFiniteDifferenceCheck:
             ad.finite_difference_check(loss_fn, reg)
 
 
+def _binary_cases():
+    """(name, operand arrays, graph function) for every primitive with several operands."""
+    rng = np.random.default_rng(11)
+    x, w, v = rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=4)
+    y = rng.normal(size=(3, 2))
+    return [
+        ("matmul", (x, w), lambda a, b: ad.matmul(a, b)),
+        ("add", (x, x + 1.0), lambda a, b: ad.add(a, b)),
+        ("add_row_broadcast", (x, v), lambda a, b: ad.add(a, b)),
+        ("mul", (x, x - 0.5), lambda a, b: ad.mul(a, b)),
+        ("concat_cols", (x, y), lambda a, b: ad.concat_cols([a, b])),
+        ("layer_norm", (x, v + 1.0, v), lambda a, g, b: ad.layer_norm(a, g, b)),
+    ]
+
+
+def _scalar_loss(out):
+    # a nonlinear readout so every operand gets a nontrivial gradient
+    return ad.sum_all(ad.gelu(out))
+
+
+class TestPrunedBackward:
+    def test_requires_grad_propagates(self):
+        t = Var(np.ones((2, 2)))
+        f = Var(np.ones((2, 2)), requires_grad=False)
+        assert t.requires_grad and not f.requires_grad
+        assert ad.matmul(t, f).requires_grad and ad.matmul(f, t).requires_grad
+        assert not ad.matmul(f, f).requires_grad
+        assert not ad.relu(ad.scale(f, 2.0)).requires_grad
+        assert ad.concat_cols([f, f, t]).requires_grad
+        assert not ad.layer_norm(f, Var(np.ones(2), requires_grad=False),
+                                 Var(np.zeros(2), requires_grad=False)).requires_grad
+
+    def test_frozen_leaves_get_no_entry(self):
+        w = Var(np.array([[1.0, 2.0]]))
+        frozen = Var(np.array([[3.0], [4.0]]), requires_grad=False)
+        unused = Var(np.array([5.0]))
+        grads = ad.grads_for(ad.sum_all(ad.matmul(w, frozen)),
+                             {"w": w, "frozen": frozen, "unused": unused})
+        assert set(grads) == {"w", "unused"}
+        np.testing.assert_array_equal(grads["w"], [[3.0, 4.0]])
+        np.testing.assert_array_equal(grads["unused"], [0.0])
+        assert frozen.grad is None
+
+    def test_loss_without_trainable_leaves_is_a_no_op(self):
+        f = Var(np.array([1.0, 2.0]), requires_grad=False)
+        loss = quadratic_loss(f)
+        assert ad.grads_for(loss, {"f": f}) == {}
+        assert loss.grad is None and f.grad is None
+
+    @pytest.mark.parametrize("case", range(len(_binary_cases())),
+                             ids=[c[0] for c in _binary_cases()])
+    def test_each_operand_alone_matches_full_backward(self, case):
+        _, arrays, build = _binary_cases()[case]
+        full = [Var(a) for a in arrays]
+        ad.backward(_scalar_loss(build(*full)))
+        for keep in range(len(arrays)):
+            pruned = [Var(a, requires_grad=(i == keep)) for i, a in enumerate(arrays)]
+            ad.backward(_scalar_loss(build(*pruned)))
+            assert pruned[keep].grad.tobytes() == full[keep].grad.tobytes()
+            assert all(p.grad is None for i, p in enumerate(pruned) if i != keep)
+
+    @pytest.mark.parametrize("frozen", [
+        (Partition.PRETRAINED,),
+        (Partition.PRETRAINED, Partition.LIGHTWEIGHT),
+    ], ids=["encoder", "encoder+adapter"])
+    def test_desk_model_pruned_grads_match_full_backward(self, frozen):
+        # the slow path: build the whole graph with every leaf trainable
+        model = PartitionedModel(desk_config(60), seed=0)
+        model.add_head("t", np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        batch = []
+        for n_tokens, n_pad in ((9, 0), (7, 3), (12, 1)):
+            ids = rng.integers(2, 60, n_tokens + n_pad)
+            labels = np.concatenate([rng.integers(0, 7, n_tokens), np.full(n_pad, -1)])
+            batch.append((ids, labels))
+
+        def loss_for(leaves):
+            total = None
+            for ids, labels in batch:
+                keep = labels >= 0
+                lg, _ = model.logits(ids, keep, "t", leaves)
+                ce = ad.cross_entropy_mean(lg, np.where(keep, labels, 0), keep)
+                total = ce if total is None else ad.add(total, ce)
+            return total
+
+        def grads(frozen_partitions):
+            leaves = model.registry.leaf_vars(frozen_partitions)
+            return ad.grads_for(loss_for(leaves), leaves)
+
+        full, pruned = grads(()), grads(frozen)
+        trainable = [p.id for p in model.registry if p.partition not in frozen]
+        assert list(pruned) == trainable
+        for pid in trainable:
+            assert pruned[pid].tobytes() == full[pid].tobytes(), pid
+
+
 class TestRegistry:
     def make_registry(self):
         rng = np.random.default_rng(7)
@@ -180,15 +277,6 @@ class TestRegistry:
         reg = self.make_registry()
         assert reg.n_params() == 9 + 6 + 2
         assert reg.n_params(Partition.LIGHTWEIGHT) == 6
-
-    def test_grad_accumulation_and_zeroing(self):
-        reg = self.make_registry()
-        g = {"head.w": np.array([1.0, 2.0])}
-        reg.accumulate_grads(g)
-        reg.accumulate_grads(g)
-        np.testing.assert_array_equal(reg["head.w"].value.grad, [2.0, 4.0])
-        reg.zero_grad()
-        assert reg["head.w"].value.grad is None
 
 
 class TestCheckpoint:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from peprime import autodiff as ad
@@ -56,6 +57,20 @@ class TestConfig:
         assert err["error"] == "ConfigError"
 
 
+class TestLongSentences:
+    def test_long_synthetic_sentences_build_and_prime(self, tiny_config, tmp_path):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["data"]["synthetic"]["mean_sentence_length"] = 22.0   # max_seq_len 32
+        cfg["pretrain"] = {"steps": 2}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(cfg))
+        sources, targets = cli.build_corpora(cli.load_config(path))
+        corpora = list(sources.values()) + list(targets.values())
+        assert sum(c.truncated_sequences for c in corpora) > 0
+        assert max(len(s.tokens) for c in corpora for s in c) == 32
+        assert run(["prime", "--config", path, "--out", tmp_path / "o"]) == 0
+
+
 class TestGenerateData:
     def test_writes_corpora(self, tiny_config, tmp_path):
         out = tmp_path / "out"
@@ -94,6 +109,19 @@ class TestPrime:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_fails_cleanly(self, tiny_config, tmp_path, capsys):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["priming"]["alpha"] = 1e300   # the first inner SGD step overflows
+        cfg["pretrain"] = {"steps": 0}
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(cfg))
+        rc = run(["prime", "--config", path, "--out", tmp_path / "o"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "TrainingDiverged"
+        assert "outer step 0" in err["message"]
+
 
 class TestFinetuneCommand:
     def test_end_to_end_report(self, tiny_config, tmp_path):
@@ -121,6 +149,20 @@ class TestFinetuneCommand:
                   "--setting", "adapter_tuning", "--language", "xx"])
         assert rc == 1
         assert "unknown target language" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_contract_error_fails_cleanly(self, tiny_config, tmp_path, capsys):
+        exp = cli.build_experiment(cli.load_config(tiny_config))
+        init = PartitionedModel(exp.model_config, seed=0)
+        init.add_head("target", np.random.default_rng(0))
+        path = tmp_path / "with_head.ckpt"
+        ad.save_checkpoint(init.registry, path, exp.model_config.hash())
+        rc = run(["finetune", "--config", tiny_config, "--out", tmp_path / "o",
+                  "--setting", "adapter_tuning", "--language", "ta",
+                  "--init-checkpoint", path])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError"
+        assert "target head" in err["message"]
 
 
 class TestEvaluateCommand:

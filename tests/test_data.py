@@ -78,6 +78,22 @@ class TestConll:
         assert len(seq.tokens) == 5
         assert D.is_valid_bio(seq.labels)
 
+    def test_synthetic_truncation_counted_and_valid(self):
+        spec = D.SyntheticLanguageSpec("long", seed=5, mean_sentence_length=22.0)
+        corpus = D.generate_language(spec, 200)
+        lengths = [len(s.tokens) for s in corpus]
+        assert D.truncate_corpus(corpus, 32) is corpus
+        assert corpus.truncated_sequences == sum(n > 32 for n in lengths) > 0
+        assert [len(s.tokens) for s in corpus] == [min(n, 32) for n in lengths]
+        assert all(D.is_valid_bio(s.labels) for s in corpus)
+
+    def test_truncation_leaves_fitting_corpus_untouched(self):
+        corpus = D.generate_language(D.SyntheticLanguageSpec("short", seed=5), 50)
+        before = list(corpus.sequences)
+        D.truncate_corpus(corpus, 32)
+        assert corpus.truncated_sequences == 0
+        assert all(a is b for a, b in zip(before, corpus.sequences))
+
     def test_round_trip(self, tmp_path):
         spec = D.SyntheticLanguageSpec("rt", seed=3)
         corpus = D.generate_language(spec, 20)

@@ -5,6 +5,7 @@ from peprime import autodiff as ad
 from peprime import data as D
 from peprime.autodiff import Partition
 from peprime.finetune import (
+    TARGET_HEAD,
     FineTuneHyperparams,
     FineTuneSetting,
     adapter_present,
@@ -12,9 +13,11 @@ from peprime.finetune import (
     extract_spans,
     finetune,
     micro_f1,
+    predict_corpus,
     trainable_partitions,
 )
 from peprime.model import PartitionedModel, ModelConfig, count_trainable_fraction
+from peprime.priming import AdamW
 
 
 def brute_force_spans(labels):
@@ -152,7 +155,54 @@ def tiny_setup():
     return cfg, vocab, train, val, test
 
 
+def reference_finetune(init, setting, train, val, vocab, hyper, seed):
+    """The slow path: ``finetune``'s loop on an unfrozen clone, every gradient computed."""
+    rng = np.random.default_rng(seed)
+    model = init.clone()
+    model.add_head(TARGET_HEAD, rng)
+    ids = [pid for part in trainable_partitions(setting) for pid in model.registry.ids(part)]
+    optimizer = AdamW(ids)
+
+    def evaluate():
+        return micro_f1([s.labels for s in val], predict_corpus(model, val, vocab)).f1
+
+    best_f1 = evaluate()
+    best = model.registry.snapshot()
+    trace = [(0, best_f1)]
+    order, pos = rng.permutation(len(train)), 0
+    for step in range(1, hyper.steps + 1):
+        if pos + hyper.batch_size > len(order):
+            order, pos = rng.permutation(len(train)), 0
+        batch = [train[i] for i in order[pos:pos + hyper.batch_size]]
+        pos += hyper.batch_size
+        loss, leaves = model.batch_loss(batch, TARGET_HEAD)
+        optimizer.step(model.registry, ad.grads_for(loss, leaves), hyper.lr_for(setting))
+        if step % hyper.eval_every == 0 or step == hyper.steps:
+            f1 = evaluate()
+            trace.append((step, f1))
+            if f1 > best_f1:
+                best_f1, best = f1, model.registry.snapshot()
+    model.registry.restore(best)
+    return model, best_f1, trace
+
+
 class TestFinetune:
+    @pytest.mark.parametrize("setting", [FineTuneSetting.ADAPTER_TUNING,
+                                         FineTuneSetting.HEAD_TUNING])
+    def test_matches_unfrozen_reference_loop(self, setting):
+        cfg, vocab, train, val, _ = tiny_setup()
+        init = PartitionedModel(cfg, seed=0)
+        hyper = FineTuneHyperparams(steps=12, batch_size=4, eval_every=3, lr_pe=1e-2)
+        result = finetune(init, setting, train, val, vocab, hyper, seed=3)
+        model, best_f1, trace = reference_finetune(init, setting, train, val, vocab, hyper, 3)
+        assert (result.best_f1, result.trace) == (best_f1, trace)
+        assert [p.id for p in result.model.registry] == [p.id for p in model.registry]
+        for p in model.registry:
+            assert result.model.registry[p.id].value.data.tobytes() == p.value.data.tobytes(), p.id
+        assert result.model.frozen == ()
+        assert all(p.value.data.flags.writeable for p in result.model.registry)
+
+
     @pytest.mark.parametrize("setting,frozen", [
         (FineTuneSetting.HEAD_TUNING, (Partition.PRETRAINED, Partition.LIGHTWEIGHT)),
         (FineTuneSetting.ADAPTER_TUNING, (Partition.PRETRAINED,)),

@@ -188,6 +188,117 @@ class TestClassify:
             small_model.logits(np.array([2]), np.ones(1, bool), "nope")
 
 
+def fresh_model():
+    m = PartitionedModel(desk_config(60), seed=0)
+    m.add_head("t", np.random.default_rng(1))
+    return m
+
+
+def padded_batch(seed=2):
+    rng = np.random.default_rng(seed)
+    batch = []
+    for n_tokens, n_pad in ((9, 0), (6, 3), (11, 2), (9, 0)):
+        ids = rng.integers(2, 60, n_tokens + n_pad)
+        labels = np.concatenate([rng.integers(0, 7, n_tokens), np.full(n_pad, -1)])
+        batch.append((ids, labels))
+    batch.append(batch[0])   # a repeated sequence is served from the stored encodings
+    return batch
+
+
+class TestFreeze:
+    def count_encodes(self, model, monkeypatch):
+        calls = []
+        encode = model.encode
+
+        def counting(*args):
+            calls.append(args[0])
+            return encode(*args)
+        monkeypatch.setattr(model, "encode", counting)
+        return calls
+
+    def test_nothing_frozen_by_default_or_after_clone(self):
+        m = fresh_model()
+        assert m.frozen == ()
+        m.freeze((Partition.PRETRAINED,))
+        c = m.clone()
+        assert c.frozen == ()
+        assert all(p.value.data.flags.writeable for p in c.registry)
+
+    def test_memoized_logits_equal_fresh_encode(self, monkeypatch):
+        m = fresh_model()
+        ids = np.array([5, 9, 2, 17, 30, 8])
+        mask = np.array([True, True, True, True, False, False])
+        fresh = m.logits(ids, mask, "t")[0].data
+        calls = self.count_encodes(m, monkeypatch)
+        m.freeze((Partition.PRETRAINED,))
+        first = m.logits(ids, mask, "t")[0].data
+        second = m.logits(ids, mask, "t")[0].data
+        assert first.tobytes() == fresh.tobytes() == second.tobytes()
+        assert len(calls) == 1
+        m.logits(ids, np.ones(6, bool), "t")        # another pad mask is another input
+        assert len(calls) == 2
+        m.freeze((Partition.PRETRAINED,))           # freezing again drops the memo
+        again = m.logits(ids, mask, "t")[0].data
+        assert len(calls) == 3 and again.tobytes() == fresh.tobytes()
+
+    def test_frozen_adapter_alone_does_not_memoize(self, monkeypatch):
+        m = fresh_model()
+        calls = self.count_encodes(m, monkeypatch)
+        m.freeze((Partition.LIGHTWEIGHT,))
+        ids = np.array([3, 4, 5])
+        m.logits(ids, np.ones(3, bool), "t")
+        m.logits(ids, np.ones(3, bool), "t")
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("frozen", [
+        (Partition.PRETRAINED,),
+        (Partition.PRETRAINED, Partition.LIGHTWEIGHT),
+        (Partition.LIGHTWEIGHT,),
+    ], ids=["encoder", "encoder+adapter", "adapter"])
+    def test_frozen_batch_loss_matches_unfrozen(self, frozen):
+        # slow path: an unfrozen model, every gradient computed, then filtered
+        batch = padded_batch()
+        slow = fresh_model()
+        loss, leaves = slow.batch_loss(batch, "t")
+        full = ad.grads_for(loss, leaves)
+        fast = fresh_model()
+        fast.freeze(frozen)
+        for _ in range(2):   # the second pass reads the stored encodings
+            f_loss, f_leaves = fast.batch_loss(batch, "t")
+            got = ad.grads_for(f_loss, f_leaves)
+            assert f_loss.data.tobytes() == loss.data.tobytes()
+            trainable = [p.id for p in fast.registry if p.partition not in frozen]
+            assert list(got) == trainable
+            for pid in trainable:
+                assert got[pid].tobytes() == full[pid].tobytes(), pid
+
+    def test_write_to_frozen_partition_raises(self):
+        m = fresh_model()
+        snap = m.registry.snapshot()
+        m.freeze((Partition.PRETRAINED, Partition.LIGHTWEIGHT))
+        enc, adapter, head = m.registry["enc.0.ffn.w1"], m.registry["adapter.up"], m.registry["head.t.w"]
+        enc_tok = m.registry["embed.tok"].value.data
+        with pytest.raises(ValueError, match="read-only"):
+            enc.value.data[0, 0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            adapter.value.data -= 1.0
+        with pytest.raises(ad.ContractError, match="frozen"):
+            enc.value.data = np.zeros_like(enc.value.data)
+        with pytest.raises(ad.ContractError, match="frozen"):
+            m.registry.restore(snap)
+        head.value.data += 1.0                      # a trainable partition stays writable
+        m.freeze((Partition.HEAD,))
+        with pytest.raises(ad.ContractError, match="head.t.w"):
+            m.registry.restore(snap)                # refused before anything is written
+        assert head.value.data.tobytes() != snap["head.t.w"].tobytes()
+        assert m.registry["embed.tok"].value.data is enc_tok
+        m.freeze()
+        enc.value.data[0, 0] += 1.0
+        m.registry.restore(snap)
+        for p in m.registry:
+            assert p.value.data.tobytes() == snap[p.id].tobytes()
+
+
 class TestTrainableFraction:
     def test_head_tuning_formats_to_paper_value(self):
         frac = count_trainable_fraction(MBERT_LIKE, (Partition.HEAD,))

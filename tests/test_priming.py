@@ -23,6 +23,7 @@ class QuadraticModel:
     has_adapter = True
 
     def __init__(self, registry=None):
+        self.frozen = frozenset()
         if registry is not None:
             self.registry = registry
             return
@@ -40,8 +41,11 @@ class QuadraticModel:
     def head_ids(self, name):
         return [f"head.{name}.w"]
 
+    def freeze(self, partitions=()):
+        self.frozen = frozenset(partitions)
+
     def batch_loss(self, batch, head):
-        leaves = self.registry.leaf_vars()
+        leaves = self.registry.leaf_vars(self.frozen)
         total = None
         for v in leaves.values():
             term = ad.scale(ad.sum_all(ad.mul(v, v)), 0.5)
@@ -99,6 +103,27 @@ class TestInnerAdapt:
         for pid, arr in before.items():
             got = result.adapted.registry[pid].value.data
             assert got.tobytes() == arr.tobytes()
+
+    def test_pe_sim_matches_unfrozen_reference_loop(self):
+        # the slow path: plain SGD on an unfrozen clone, every gradient computed
+        model = small_real_model()
+        task = real_task(model)
+        c = cfg(inner_steps=4, support_batch_size=3)
+        result = inner_adapt(model, task, c, np.random.default_rng(5))
+        expected = model.clone()
+        light = expected.registry.ids(Partition.LIGHTWEIGHT) + expected.head_ids(SHARED_HEAD)
+        batches = task.support_batches(c.support_batch_size, np.random.default_rng(5))
+        losses = []
+        for _ in range(c.inner_steps):
+            loss, leaves = expected.batch_loss(next(batches), SHARED_HEAD)
+            losses.append(float(loss.data))
+            grads = ad.grads_for(loss, leaves)
+            for pid in light:
+                expected.registry[pid].value.data -= c.alpha * grads[pid]
+        assert result.support_losses == losses
+        assert result.adapted.frozen == ()
+        for p in expected.registry:
+            assert result.adapted.registry[p.id].value.data.tobytes() == p.value.data.tobytes()
 
     def test_full_maml_updates_pretrained(self):
         model = small_real_model()
