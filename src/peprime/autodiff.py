@@ -6,12 +6,29 @@ gradients into ``Var.grad``. Parameters live in a ``ParameterRegistry``
 keyed by stable string ids, each tagged with the partition it belongs to
 (PRETRAINED / LIGHTWEIGHT / HEAD).
 
+Batches: every primitive acts on the last axis (or the last two, for
+``matmul`` and ``transpose``) and carries any leading axes along, so one
+graph over a padded ``[B, L, d]`` batch replaces B per-sequence graphs.
+A weight shared by the batch (``matmul`` by a 2-d operand, ``add`` of a
+1-d operand, the gain and bias of ``layer_norm``) gets its gradient
+summed over every leading position. Padding is the caller's business:
+attention drops padded keys through an additive mask to
+``softmax_rows``, and ``cross_entropy_mean`` drops padded positions
+through its keep mask. 2-d inputs give the same results as a graph
+built for one sequence.
+
 Every ``Var`` carries ``requires_grad``. A leaf sets it (default true); any
 other node requires a gradient iff one of its parents does. ``backward``
 visits only nodes that require a gradient, and each backward closure skips
 the operands that do not, so a frozen partition costs no backward work.
 The gradients of the nodes that do require one are computed by the same
 ops in the same order as in a full backward, so they are bit-identical.
+
+No tape is kept where no gradient can flow: a node that requires none
+keeps neither its parents nor its backward closure, so a forward pass
+whose leaves are all frozen frees each intermediate as soon as it is
+used. ``backward`` drops an inner node's ``.grad`` once it has passed it
+on; only leaves keep theirs.
 
 ``grads_for`` returns an entry for every leaf that requires a gradient
 (all zeros when the leaf is off the loss's tape) and none for the others.
@@ -56,6 +73,8 @@ class Var:
     """One node on the tape: a value, a grad slot, and a backward closure.
 
     ``requires_grad`` is given for a leaf; a node with parents derives it.
+    A node that requires no gradient keeps neither its parents nor its
+    closure, so a forward pass without trainable leaves holds no tape.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -63,7 +82,6 @@ class Var:
     def __init__(self, data, parents=(), backward=None, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = parents = tuple(parents)
         if parents:
             requires_grad = False
             for p in parents:
@@ -71,7 +89,12 @@ class Var:
                     requires_grad = True
                     break
         self.requires_grad = requires_grad
-        self._backward = backward
+        if requires_grad:
+            self._parents = tuple(parents)
+            self._backward = backward
+        else:
+            self._parents = ()
+            self._backward = None
 
     @property
     def shape(self):
@@ -96,35 +119,29 @@ class Var:
     __rmul__ = __mul__
 
 
-def constant(data):
-    return Var(data)
+def _sum_leading(g):
+    """Sum over every axis but the last: the gradient of a broadcast 1-d operand."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def add(a: Var, b: Var) -> Var:
-    """Elementwise add; a 1-d ``b`` broadcasts across the rows of a 2-d ``a``."""
-    row_broadcast = a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
-    if not row_broadcast and a.data.shape != b.data.shape:
+    """Elementwise add; a 1-d ``b`` broadcasts over the last axis of ``a``."""
+    broadcast = a.data.ndim >= 2 and b.data.ndim == 1 and a.data.shape[-1] == b.data.shape[0]
+    if not broadcast and a.data.shape != b.data.shape:
         raise ShapeMismatchError("add", a.data.shape, b.data.shape)
-    out = Var(a.data + b.data, (a, b))
 
     def bwd(g):
         if a.requires_grad:
             a._accum(g)
         if b.requires_grad:
-            b._accum(g.sum(axis=0) if row_broadcast else g)
+            b._accum(_sum_leading(g) if broadcast else g)
 
-    out._backward = bwd
-    return out
-
-
-def sub(a: Var, b: Var) -> Var:
-    return add(a, scale(b, -1.0))
+    return Var(a.data + b.data, (a, b), bwd)
 
 
 def mul(a: Var, b: Var) -> Var:
     if a.data.shape != b.data.shape:
         raise ShapeMismatchError("mul", a.data.shape, b.data.shape)
-    out = Var(a.data * b.data, (a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -132,191 +149,191 @@ def mul(a: Var, b: Var) -> Var:
         if b.requires_grad:
             b._accum(g * a.data)
 
-    out._backward = bwd
-    return out
+    return Var(a.data * b.data, (a, b), bwd)
 
 
 def scale(a: Var, c: float) -> Var:
-    out = Var(a.data * c, (a,))
-    out._backward = lambda g: a._accum(g * c)
-    return out
+    return Var(a.data * c, (a,), lambda g: a._accum(g * c))
 
 
 def matmul(a: Var, b: Var) -> Var:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError("matmul", a.data.shape, b.data.shape)
-    out = Var(a.data @ b.data, (a, b))
+    """``[..., m, k] @ [k, n]`` (one weight shared by the batch) or ``[..., m, k] @ [..., k, n]``."""
+    x, w = a.data, b.data
+    shared = x.ndim >= 2 and w.ndim == 2
+    batched = x.ndim == w.ndim > 2 and x.shape[:-2] == w.shape[:-2]
+    if not (shared or batched) or x.shape[-1] != w.shape[-2]:
+        raise ShapeMismatchError("matmul", x.shape, w.shape)
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(g @ b.data.T)
+            a._accum(g @ w.swapaxes(-1, -2))
         if b.requires_grad:
-            b._accum(a.data.T @ g)
+            if shared:   # the weight's gradient sums over every row of the batch
+                b._accum(x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            else:
+                b._accum(x.swapaxes(-1, -2) @ g)
 
-    out._backward = bwd
-    return out
+    return Var(x @ w, (a, b), bwd)
 
 
 def transpose(a: Var) -> Var:
-    out = Var(a.data.T, (a,))
-    out._backward = lambda g: a._accum(g.T)
-    return out
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeMismatchError("transpose", a.data.shape)
+    return Var(a.data.swapaxes(-1, -2), (a,),
+               lambda g: a._accum(g.swapaxes(-1, -2)))
 
 
 def slice_cols(a: Var, lo: int, hi: int) -> Var:
-    if a.data.ndim != 2 or not (0 <= lo < hi <= a.data.shape[1]):
+    """Columns ``lo:hi`` of the last axis."""
+    if a.data.ndim < 2 or not (0 <= lo < hi <= a.data.shape[-1]):
         raise ShapeMismatchError("slice_cols", a.data.shape, (lo, hi))
-    out = Var(a.data[:, lo:hi], (a,))
 
     def bwd(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        a.grad[:, lo:hi] += g
+        a.grad[..., lo:hi] += g
 
-    out._backward = bwd
-    return out
+    return Var(a.data[..., lo:hi], (a,), bwd)
 
 
 def concat_cols(parts) -> Var:
+    """Concatenate along the last axis; every other axis must agree."""
     parts = list(parts)
-    if not parts or any(p.data.ndim != 2 for p in parts):
+    if not parts or any(p.data.ndim < 2 for p in parts):
         raise ShapeMismatchError("concat_cols", *[p.data.shape for p in parts])
-    rows = parts[0].data.shape[0]
-    if any(p.data.shape[0] != rows for p in parts):
+    lead = parts[0].data.shape[:-1]
+    if any(p.data.shape[:-1] != lead for p in parts):
         raise ShapeMismatchError("concat_cols", *[p.data.shape for p in parts])
-    out = Var(np.concatenate([p.data for p in parts], axis=1), tuple(parts))
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
+    offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                p._accum(g[:, lo:hi])
+                p._accum(g[..., lo:hi])
 
-    out._backward = bwd
-    return out
+    return Var(np.concatenate([p.data for p in parts], axis=-1), parts, bwd)
 
 
 def relu(a: Var) -> Var:
-    out = Var(np.maximum(a.data, 0.0), (a,))
-    out._backward = lambda g: a._accum(g * (a.data > 0))
-    return out
+    return Var(np.maximum(a.data, 0.0), (a,), lambda g: a._accum(g * (a.data > 0)))
 
 
 def gelu(a: Var) -> Var:
     # exact erf form; backward uses d/dx [x*Phi(x)] = Phi(x) + x*phi(x)
     phi_cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out = Var(a.data * phi_cdf, (a,))
 
     def bwd(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
         a._accum(g * (phi_cdf + a.data * pdf))
 
-    out._backward = bwd
-    return out
-
-
-def dropout(a: Var, rate: float = 0.0) -> Var:
-    """Identity. Kept as an explicit primitive so the model reads naturally."""
-    return a
+    return Var(a.data * phi_cdf, (a,), bwd)
 
 
 def sum_all(a: Var) -> Var:
-    out = Var(a.data.sum(), (a,))
-    out._backward = lambda g: a._accum(np.full_like(a.data, float(g)))
-    return out
+    return Var(a.data.sum(), (a,), lambda g: a._accum(np.full_like(a.data, float(g))))
 
 
 def embedding(table: Var, ids) -> Var:
+    """Rows of a 2-d ``table`` for integer ``ids`` of any shape: ``ids.shape + (d,)``."""
     ids = np.asarray(ids, dtype=np.int64)
-    if table.data.ndim != 2 or ids.ndim != 1:
+    if table.data.ndim != 2 or ids.ndim < 1:
         raise ShapeMismatchError("embedding", table.data.shape, ids.shape)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ContractError(
             f"embedding: id out of range [0, {table.data.shape[0]}) in {ids.tolist()}"
         )
-    out = Var(table.data[ids], (table,))
 
     def bwd(g):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids, g)
 
-    out._backward = bwd
-    return out
+    return Var(table.data[ids], (table,), bwd)
 
 
 def softmax_rows(a: Var, additive_mask=None) -> Var:
-    """Row softmax of a 2-d input, optionally with an additive (mask) term."""
-    if a.data.ndim != 2:
+    """Softmax over the last axis, optionally with an additive (mask) term.
+
+    The mask broadcasts against ``a``: a key mask ``[B, 1, L]`` drops
+    the same keys from every query row of ``[B, L, L]`` scores.
+    """
+    if a.data.ndim < 2:
         raise ShapeMismatchError("softmax", a.data.shape)
     z = a.data if additive_mask is None else a.data + additive_mask
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Var(s, (a,))
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        a._accum(s * (g - (g * s).sum(axis=1, keepdims=True)))
+        a._accum(s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
-    out._backward = bwd
-    return out
+    return Var(s, (a,), bwd)
 
 
 def layer_norm(x: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
-    if x.data.ndim != 2 or gain.data.shape != (x.data.shape[1],) or bias.data.shape != (x.data.shape[1],):
+    """Normalize over the last axis; 1-d ``gain`` and ``bias`` of that width."""
+    width = x.data.shape[-1:]
+    if x.data.ndim < 2 or gain.data.shape != width or bias.data.shape != width:
         raise ShapeMismatchError("layer_norm", x.data.shape, gain.data.shape, bias.data.shape)
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Var(xhat * gain.data + bias.data, (x, gain, bias))
 
     def bwd(g):
         if gain.requires_grad:
-            gain._accum((g * xhat).sum(axis=0))
+            gain._accum(_sum_leading(g * xhat))
         if bias.requires_grad:
-            bias._accum(g.sum(axis=0))
+            bias._accum(_sum_leading(g))
         if x.requires_grad:
             gy = g * gain.data
-            x._accum(inv * (gy - gy.mean(axis=1, keepdims=True) - xhat * (gy * xhat).mean(axis=1, keepdims=True)))
+            x._accum(inv * (gy - gy.mean(axis=-1, keepdims=True)
+                            - xhat * (gy * xhat).mean(axis=-1, keepdims=True)))
 
-    out._backward = bwd
-    return out
+    return Var(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
 def cross_entropy_mean(logits: Var, gold, keep_mask=None) -> Var:
-    """Softmax cross-entropy, mean over positions where ``keep_mask`` is true.
+    """Softmax cross-entropy over the last axis, mean over kept positions.
 
-    ``gold`` holds one label index per row; masked-out rows contribute
-    nothing to the loss or the gradient.
+    ``logits`` is ``[..., C]``; ``gold`` holds one label index per
+    position and ``keep_mask`` one flag, both of shape ``[...]``.
+    Positions whose flag is false contribute nothing to the loss or the
+    gradient, so padding and unlabelled tokens are dropped here.
     """
     gold = np.asarray(gold, dtype=np.int64)
-    if logits.data.ndim != 2 or gold.shape != (logits.data.shape[0],):
+    if logits.data.ndim < 2 or gold.shape != logits.data.shape[:-1]:
         raise ShapeMismatchError("cross_entropy", logits.data.shape, gold.shape)
-    if keep_mask is None:
-        keep_mask = np.ones(gold.shape, dtype=bool)
-    keep_mask = np.asarray(keep_mask, dtype=bool)
+    keep_mask = (np.ones(gold.shape, dtype=bool) if keep_mask is None
+                 else np.asarray(keep_mask, dtype=bool))
+    if keep_mask.shape != gold.shape:
+        raise ShapeMismatchError("cross_entropy", logits.data.shape, keep_mask.shape)
     n_keep = int(keep_mask.sum())
     if n_keep == 0:
         raise ContractError("cross_entropy: no unmasked positions")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    nll = -logp[np.arange(gold.size), gold]
-    out = Var(nll[keep_mask].mean(), (logits,))
+    n_classes = logits.data.shape[-1]
+    rows = np.arange(gold.size)
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    nll = -logp.reshape(-1, n_classes)[rows, gold.reshape(-1)]
 
     def bwd(g):
-        p = np.exp(logp)
-        p[np.arange(gold.size), gold] -= 1.0
-        p[~keep_mask] = 0.0
-        logits._accum(p * (float(g) / n_keep))
+        p = np.exp(logp).reshape(-1, n_classes)
+        p[rows, gold.reshape(-1)] -= 1.0
+        p[~keep_mask.reshape(-1)] = 0.0
+        logits._accum(p.reshape(logp.shape) * (float(g) / n_keep))
 
-    out._backward = bwd
-    return out
+    return Var(nll[keep_mask.reshape(-1)].mean(), (logits,), bwd)
 
 
 def backward(loss: Var) -> None:
-    """Reverse sweep from a scalar loss; fills ``.grad`` of the nodes that require one."""
+    """Reverse sweep from a scalar loss; fills ``.grad`` of the leaves that require one.
+
+    An inner node drops its ``.grad`` once it has passed it on, so the
+    sweep holds only the gradients still in flight.
+    """
     if loss.data.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -338,6 +355,8 @@ def backward(loss: Var) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad = None
 
 
 def grads_for(loss: Var, leaves: dict) -> dict:
@@ -477,32 +496,43 @@ def save_checkpoint(registry: ParameterRegistry, path, config_hash: str):
 
 
 def load_checkpoint(path, expected_config_hash: str | None = None) -> ParameterRegistry:
+    """Read a checkpoint; any file that is not exactly one raises ``CheckpointError``."""
     with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        version, hlen = struct.unpack("<IQ", f.read(12))
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        header = json.loads(f.read(hlen).decode("utf-8"))
-        if expected_config_hash is not None and header["config_hash"] != expected_config_hash:
-            raise CheckpointError(
-                f"{path}: config hash mismatch "
-                f"(checkpoint {header['config_hash']}, expected {expected_config_hash})"
-            )
-        reg = ParameterRegistry()
-        for e in header["params"]:
-            shape = tuple(e["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = np.frombuffer(f.read(8 * n), dtype="<f8").reshape(shape)
-            reg.add(e["id"], buf.astype(np.float64), Partition(e["partition"]))
-        return reg
-
-
-def checkpoint_config_hash(path) -> str:
-    with open(path, "rb") as f:
-        f.read(4)
-        _, hlen = struct.unpack("<IQ", f.read(12))
-        return json.loads(f.read(hlen).decode("utf-8"))["config_hash"]
+        blob = f.read()
+    if blob[:4] != _CKPT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: truncated header ({len(blob)} bytes)")
+    version, hlen = struct.unpack_from("<IQ", blob, 4)
+    if version != _CKPT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    offset = 16 + hlen
+    if len(blob) < offset:
+        raise CheckpointError(f"{path}: truncated header ({len(blob)} of {offset} bytes)")
+    try:
+        header = json.loads(blob[16:offset].decode("utf-8"))
+        config_hash, entries = header["config_hash"], header["params"]
+        shapes = [tuple(int(d) for d in e["shape"]) for e in entries]
+        partitions = [Partition(e["partition"]) for e in entries]
+        ids = [e["id"] for e in entries]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc})") from None
+    if expected_config_hash is not None and config_hash != expected_config_hash:
+        raise CheckpointError(
+            f"{path}: config hash mismatch "
+            f"(checkpoint {config_hash}, expected {expected_config_hash})"
+        )
+    expected_len = offset + 8 * sum(int(np.prod(shape)) for shape in shapes)
+    if len(blob) != expected_len:
+        kind = "truncated payload" if len(blob) < expected_len else "trailing bytes"
+        raise CheckpointError(f"{path}: {kind} ({len(blob)} bytes, expected {expected_len})")
+    reg = ParameterRegistry()
+    for pid, shape, partition in zip(ids, shapes, partitions):
+        n = int(np.prod(shape))
+        buf = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
+        reg.add(pid, buf.astype(np.float64), partition)
+        offset += 8 * n
+    return reg
 
 
 # --- gradient verification ------------------------------------------------

@@ -91,6 +91,19 @@ def _validate_config(cfg: dict):
     bad += [f"finetune.{k}" for k in cfg["finetune"] if k not in DEFAULT_CONFIG["finetune"]]
     bad += [f"pretrain.{k}" for k in cfg["pretrain"] if k not in DEFAULT_CONFIG["pretrain"]]
     bad += [f"data.{k}" for k in cfg["data"] if k not in ("synthetic", "conll", "split")]
+    for section in ("synthetic", "split"):
+        allowed = DEFAULT_CONFIG["data"][section]
+        bad += [f"data.{section}.{k}" for k in cfg["data"][section] if k not in allowed]
+    conll = cfg["data"].get("conll")
+    if conll is not None:
+        if not isinstance(conll, dict):
+            raise ConfigError("data.conll must be an object with 'sources' and 'targets'")
+        bad += [f"data.conll.{k}" for k in conll if k not in ("sources", "targets")]
+        missing = [f"data.conll.{k}" for k in ("sources", "targets")
+                   if not isinstance(conll.get(k), dict)]
+        if missing:
+            raise ConfigError(f"missing config keys (language -> path objects): "
+                              f"{', '.join(missing)}")
     if bad:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(bad))}")
 
@@ -372,7 +385,10 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        # overflow in a diverging run is caught by the isfinite checks and
+        # reported as TrainingDiverged; numpy's warnings would only add noise
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](args)
     except (ConfigError, ad.CheckpointError, ad.ContractError, TrainingDiverged,
             FileNotFoundError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

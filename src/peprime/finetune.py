@@ -16,10 +16,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Partition
 from .data import Corpus, LABELS, Vocab, bio_spans
-from .model import PartitionedModel, count_trainable_fraction
+from .model import PartitionedModel, count_trainable_fraction, pad_rows
 from .priming import AdamW, PrimingConfig, TrainingDiverged, prime, ft_prime
 
 TARGET_HEAD = "target"
+PREDICT_CHUNK = 32   # sequences per padded prediction batch
 
 
 class FineTuneSetting(enum.Enum):
@@ -132,15 +133,18 @@ def micro_f1(gold_sequences, pred_sequences) -> EvalReport:
 
 def predict_corpus(model: PartitionedModel, corpus: Corpus, vocab: Vocab,
                    head: str = TARGET_HEAD):
-    preds = []
+    """Predicted labels per sequence, in corpus order, one padded batch per chunk."""
+    preds, seqs = [], list(corpus)
     max_len = model.config.max_seq_len
-    for seq in corpus:
-        tokens = seq.tokens[:max_len]
-        ids = vocab.encode_tokens(tokens)
-        label_ids = model.predict(ids, np.ones(len(ids), dtype=bool), head)
-        labels = [LABELS[i] for i in label_ids]
-        labels += ["O"] * (len(seq.tokens) - len(labels))  # truncated tail predicts O
-        preds.append(labels)
+    for lo in range(0, len(seqs), PREDICT_CHUNK):
+        chunk = seqs[lo:lo + PREDICT_CHUNK]
+        ids = [vocab.encode_tokens(seq.tokens[:max_len]) for seq in chunk]
+        mask = pad_rows([np.ones(len(i), dtype=bool) for i in ids], False)
+        label_ids = model.predict(pad_rows(ids, 0), mask, head)
+        for seq, row, n in zip(chunk, label_ids, map(len, ids)):
+            labels = [LABELS[i] for i in row[:n]]
+            labels += ["O"] * (len(seq.tokens) - n)  # truncated tail predicts O
+            preds.append(labels)
     return preds
 
 

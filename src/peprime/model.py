@@ -14,9 +14,22 @@ default and ``clone()`` returns an unfrozen copy. Graph leaves of frozen
 partitions do not require a gradient, so backward never enters them, and
 their arrays are read-only: an in-place write raises ``ValueError``,
 replacing one raises ``ContractError``. While the encoder (PRETRAINED) is
-frozen its output is a constant, so ``logits`` encodes each distinct
-(token ids, pad mask) once and reuses the stored hidden states; freezing
+frozen its output is a constant, so each distinct (token ids, pad mask)
+sequence is encoded once and its stored hidden states are reused; freezing
 again drops them.
+
+Padded batches: ``encode``, ``logits``, ``batch_loss`` and ``predict``
+build one graph per batch. A batch is token ids and a keep-mask of shape
+``[B, L]`` (L the longest sequence); the encoder returns ``[B, L, d]``,
+padded keys are masked out of attention with an additive ``[B, 1, L]``
+mask, and ``batch_loss`` drops padded positions and labels < 0 from the
+loss through the keep mask, so a kept position's value does not depend on
+what fills the padding. While the encoder is frozen the stored states
+stay per sequence, keyed by its (ids, mask): a batch encodes only the
+sequences not stored yet, as one padded batch, and gathers the rest.
+States from batches of different widths agree to rounding, not bit for
+bit, because the sums run over different lengths. ``predict`` builds its
+leaves with every partition frozen, so a prediction keeps no tape.
 """
 
 from __future__ import annotations
@@ -153,19 +166,28 @@ class PartitionedModel:
     # --- forward graphs ---------------------------------------------------
 
     def encode(self, token_ids, pad_mask, leaves) -> Var:
-        """Per-token hidden states [seq_len, d_model]; pad keys masked out."""
+        """Per-token hidden states ``[..., L, d_model]`` of token ids ``[..., L]``.
+
+        A padded batch is ids and keep-mask of shape ``[B, L]``; one
+        sequence ``[L]`` gives ``[L, d_model]``. Masked positions are
+        dropped as attention keys (additive mask ``[B, 1, L]``), so their
+        ids never change the state of a kept position.
+        """
         c = self.config
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        n = token_ids.size
+        pad_mask = np.asarray(pad_mask, dtype=bool)
+        n = token_ids.shape[-1]
         if n > c.max_seq_len:
             raise ad.ContractError(f"sequence length {n} exceeds max_seq_len {c.max_seq_len}")
         if token_ids.size and token_ids.max() >= c.vocab_size:
             raise ad.ContractError(f"token id {token_ids.max()} out of vocab range {c.vocab_size}")
-        pad_mask = np.asarray(pad_mask, dtype=bool)
-        key_mask = np.where(pad_mask, 0.0, NEG_INF)[None, :]  # additive over key axis
+        if pad_mask.shape != token_ids.shape:
+            raise ad.ShapeMismatchError("encode", token_ids.shape, pad_mask.shape)
+        key_mask = np.where(pad_mask, 0.0, NEG_INF)[..., None, :]  # additive over key axis
 
+        positions = np.broadcast_to(np.arange(n), token_ids.shape)
         x = ad.add(ad.embedding(leaves["embed.tok"], token_ids),
-                   ad.embedding(leaves["embed.pos"], np.arange(n)))
+                   ad.embedding(leaves["embed.pos"], positions))
         dh = c.d_model // c.n_heads
         inv_sqrt_dh = 1.0 / math.sqrt(dh)
         for layer in range(c.n_layers):
@@ -190,7 +212,7 @@ class PartitionedModel:
 
     def adapt(self, hidden: Var, leaves) -> Var:
         c = self.config
-        if hidden.data.shape[1] != c.d_model:
+        if hidden.data.shape[-1] != c.d_model:
             raise ad.ShapeMismatchError("adapter", hidden.data.shape, (c.d_model,))
         z = ad.add(ad.matmul(hidden, leaves["adapter.down"]), leaves["adapter.down_b"])
         z = ad.relu(z) if c.adapter_nonlinearity == "relu" else ad.gelu(z)
@@ -200,67 +222,96 @@ class PartitionedModel:
     def classify(self, adapted: Var, head: str, leaves) -> Var:
         return ad.add(ad.matmul(adapted, leaves[f"head.{head}.w"]), leaves[f"head.{head}.b"])
 
+    def _adapt_and_classify(self, hidden: Var, head: str, leaves) -> Var:
+        if self.has_adapter:
+            hidden = self.adapt(hidden, leaves)
+        return self.classify(hidden, head, leaves)
+
+    def _memoized(self, seqs, leaves) -> np.ndarray:
+        """Frozen-encoder states ``[B, L, d_model]`` of (ids, mask) sequences, L the longest.
+
+        Each distinct sequence is encoded once, as part of one padded
+        batch of the sequences not seen before, and its states are kept;
+        positions past a sequence's end are zeros.
+        """
+        keys = [(ids.tobytes(), mask.tobytes()) for ids, mask in seqs]
+        new = {}
+        for key, seq in zip(keys, seqs):
+            if key not in self._encodings:
+                new.setdefault(key, seq)
+        if new:
+            ids = pad_rows([s[0] for s in new.values()], 0)
+            mask = pad_rows([s[1] for s in new.values()], False)
+            hidden = self.encode(ids, mask, leaves).data
+            for row, (key, (s_ids, _)) in zip(hidden, new.items()):
+                stored = self._encodings[key] = row[:len(s_ids)].copy()
+                stored.flags.writeable = False
+        width = max(len(ids) for ids, _ in seqs)
+        out = np.zeros((len(seqs), width, self.config.d_model))
+        for row, key in zip(out, keys):
+            stored = self._encodings[key]
+            row[:len(stored)] = stored
+        return out
+
     def logits(self, token_ids, pad_mask, head: str, leaves=None):
         """Full composition head(adapter(encoder(x))). Returns (logits, leaves).
 
-        ``leaves`` must come from this model's registry. While the encoder
-        is frozen, its output for a given input is computed once and then
-        fed back as a constant.
+        ``token_ids`` and ``pad_mask`` are one sequence ``[L]`` or a padded
+        batch ``[B, L]``; logits are ``[..., L, n_labels]``. ``leaves`` must
+        come from this model's registry. While the encoder is frozen, the
+        states of each row are computed once and then fed back as a constant.
         """
         self.head_ids(head)
         if leaves is None:
             leaves = self.registry.leaf_vars(self.frozen)
+        token_ids = np.asarray(token_ids, dtype=np.int64)
+        pad_mask = np.asarray(pad_mask, dtype=bool)
         if Partition.PRETRAINED in self.frozen:
-            key = (np.asarray(token_ids, dtype=np.int64).tobytes(),
-                   np.asarray(pad_mask, dtype=bool).tobytes())
-            hidden = self._encodings.get(key)
-            if hidden is None:
-                hidden = self._encodings[key] = self.encode(token_ids, pad_mask, leaves).data
-                hidden.flags.writeable = False
+            n = token_ids.shape[-1]
+            rows = list(zip(token_ids.reshape(-1, n), pad_mask.reshape(-1, n)))
+            hidden = self._memoized(rows, leaves).reshape(token_ids.shape + (self.config.d_model,))
             x = Var(hidden, requires_grad=False)
         else:
             x = self.encode(token_ids, pad_mask, leaves)
-        if self.has_adapter:
-            x = self.adapt(x, leaves)
-        return self.classify(x, head, leaves), leaves
+        return self._adapt_and_classify(x, head, leaves), leaves
 
     def batch_loss(self, batch, head: str):
-        """Mean cross-entropy over non-pad tokens of a batch of sequences.
+        """Mean cross-entropy over the labelled tokens of a batch of sequences.
 
-        ``batch`` is a list of (token_ids, label_ids) pairs; every
-        sequence contributes its positions to one shared mean.
-        Returns (loss Var, leaves); leaves of frozen partitions do not
-        require a gradient.
+        ``batch`` is a list of (token_ids, label_ids) pairs; positions with
+        a label < 0 are padding. The batch is padded to its longest
+        sequence and run as one graph; padded positions are masked out of
+        attention and dropped from the mean, so every sequence contributes
+        its labelled positions to one shared mean. Returns (loss Var,
+        leaves); leaves of frozen partitions do not require a gradient.
         """
+        self.head_ids(head)
         leaves = self.registry.leaf_vars(self.frozen)
-        logit_rows, gold, keep = [], [], []
-        for token_ids, label_ids in batch:
-            token_ids = np.asarray(token_ids, dtype=np.int64)
-            label_ids = np.asarray(label_ids, dtype=np.int64)
-            pad_mask = label_ids >= 0
-            lg, _ = self.logits(token_ids, pad_mask, head, leaves)
-            logit_rows.append(lg)
-            gold.append(np.where(pad_mask, label_ids, 0))
-            keep.append(pad_mask)
-        stacked = _stack_rows(logit_rows)
-        loss = ad.cross_entropy_mean(stacked, np.concatenate(gold), np.concatenate(keep))
+        ids = [np.asarray(token_ids, dtype=np.int64) for token_ids, _ in batch]
+        labels = pad_rows([np.asarray(label_ids, dtype=np.int64) for _, label_ids in batch], -1)
+        keep = labels >= 0
+        if Partition.PRETRAINED in self.frozen:
+            seqs = [(s, row[:len(s)]) for s, row in zip(ids, keep)]
+            x = Var(self._memoized(seqs, leaves), requires_grad=False)
+        else:
+            x = self.encode(pad_rows(ids, 0), keep, leaves)
+        logits = self._adapt_and_classify(x, head, leaves)
+        loss = ad.cross_entropy_mean(logits, np.where(keep, labels, 0), keep)
         return loss, leaves
 
     def predict(self, token_ids, pad_mask, head: str):
-        lg, _ = self.logits(token_ids, pad_mask, head)
-        return lg.data.argmax(axis=1)
+        """Argmax labels ``[..., L]`` of a padded batch (or one sequence); keeps no tape."""
+        leaves = self.registry.leaf_vars(tuple(Partition))
+        lg, _ = self.logits(token_ids, pad_mask, head, leaves)
+        return lg.data.argmax(axis=-1)
 
 
-def _stack_rows(parts):
-    out = Var(np.concatenate([p.data for p in parts], axis=0), tuple(parts))
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
-
-    def bwd(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accum(g[lo:hi])
-
-    out._backward = bwd
+def pad_rows(rows, fill):
+    """Stack 1-d arrays into ``[len(rows), longest]``, filling each tail with ``fill``."""
+    width = max(len(r) for r in rows)
+    out = np.full((len(rows), width), fill, dtype=np.asarray(rows[0]).dtype)
+    for row, r in zip(out, rows):
+        row[:len(r)] = r
     return out
 
 

@@ -37,10 +37,6 @@ class TestPrimitives:
         with pytest.raises(ad.ContractError, match="out of range"):
             ad.embedding(Var(np.zeros((4, 2))), [5])
 
-    def test_dropout_is_identity(self):
-        x = Var(np.array([1.0, -2.0]))
-        assert ad.dropout(x, 0.5) is x
-
     @given(st.lists(st.lists(st.floats(-50, 50), min_size=2, max_size=6),
                     min_size=1, max_size=5).filter(
                lambda rows: len({len(r) for r in rows}) == 1))
@@ -244,6 +240,120 @@ class TestPrunedBackward:
             assert pruned[pid].tobytes() == full[pid].tobytes(), pid
 
 
+def _batched_cases():
+    """(name, operand arrays, graph function) on 3-d and 4-d inputs with padding."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for lead in ((2,), (2, 3)):
+        x = rng.normal(size=lead + (4, 5))
+        keep = np.ones(lead + (4,), dtype=bool)
+        keep[..., -1] = False                       # a padded position in every row
+        keep[(0,) * len(lead) + (2,)] = False
+        key_mask = np.where(keep, 0.0, -1e9)[..., None, :]
+        gold = rng.integers(0, 5, lead + (4,))
+        ids = rng.integers(0, 6, lead + (4,))
+        tag = f"{len(lead) + 2}d"
+        cases += [
+            (f"matmul_shared_{tag}", (x, rng.normal(size=(5, 3))), ad.matmul),
+            (f"matmul_batched_{tag}", (x, rng.normal(size=lead + (5, 3))), ad.matmul),
+            (f"add_{tag}", (x, rng.normal(size=x.shape)), ad.add),
+            (f"add_broadcast_{tag}", (x, rng.normal(size=5)), ad.add),
+            (f"transpose_{tag}", (x,), ad.transpose),
+            (f"slice_cols_{tag}", (x,), lambda a: ad.slice_cols(a, 1, 4)),
+            (f"concat_cols_{tag}", (x, rng.normal(size=lead + (4, 2))),
+             lambda a, b: ad.concat_cols([a, b])),
+            (f"softmax_rows_{tag}", (rng.normal(size=lead + (4, 4)),),
+             lambda a, m=key_mask: ad.softmax_rows(a, additive_mask=m)),
+            (f"layer_norm_{tag}", (x, rng.normal(size=5) + 1.0, rng.normal(size=5)),
+             ad.layer_norm),
+            (f"embedding_{tag}", (rng.normal(size=(6, 5)),),
+             lambda t, ids=ids: ad.embedding(t, ids)),
+            (f"cross_entropy_{tag}", (x,),
+             lambda a, gold=gold, keep=keep: ad.cross_entropy_mean(a, gold, keep)),
+        ]
+    return cases
+
+
+class TestBatchedPrimitives:
+    @pytest.mark.parametrize("case", range(len(_batched_cases())),
+                             ids=[c[0] for c in _batched_cases()])
+    def test_matches_finite_differences(self, case):
+        _, arrays, build = _batched_cases()[case]
+        reg = ad.ParameterRegistry()
+        for i, a in enumerate(arrays):
+            reg.add(f"x{i}", a, Partition.HEAD)
+
+        def loss_fn(registry):
+            leaves = registry.leaf_vars()
+            out = build(*leaves.values())
+            return (out if out.data.shape == () else _scalar_loss(out)), leaves
+
+        report = ad.finite_difference_check(loss_fn, reg, epsilon=1e-5, tolerance=1e-5)
+        assert report.passed, report.failures
+
+    def test_2d_slices_of_a_batch_match_2d_graphs(self):
+        # one graph over a stack of 2-d inputs gives each slice its 2-d value
+        for name, arrays, build in _binary_cases():
+            if name not in ("matmul", "add", "mul", "concat_cols"):
+                continue
+            shared = name == "matmul"   # the weight stays 2-d and is shared
+            stacked = [np.stack([arrays[0], arrays[0][::-1]])] + [
+                a if shared else np.stack([a, a[::-1]]) for a in arrays[1:]]
+            out = build(*[Var(a) for a in stacked]).data
+            assert out[0].tobytes() == build(*[Var(a) for a in arrays]).data.tobytes(), name
+
+    def test_shape_checks_stay(self):
+        x = Var(np.zeros((2, 3, 4)))
+        with pytest.raises(ad.ShapeMismatchError, match="matmul"):
+            ad.matmul(x, Var(np.zeros((3, 4, 2))))     # batch axes differ
+        with pytest.raises(ad.ShapeMismatchError, match="add"):
+            ad.add(x, Var(np.zeros(3)))
+        with pytest.raises(ad.ShapeMismatchError, match="concat_cols"):
+            ad.concat_cols([x, Var(np.zeros((2, 2, 4)))])
+        with pytest.raises(ad.ShapeMismatchError, match="layer_norm"):
+            ad.layer_norm(x, Var(np.ones(3)), Var(np.zeros(3)))
+        with pytest.raises(ad.ShapeMismatchError, match="cross_entropy"):
+            ad.cross_entropy_mean(x, np.zeros((2, 3), int), np.ones((2, 4), bool))
+        with pytest.raises(ad.ShapeMismatchError, match="transpose"):
+            ad.transpose(Var(np.zeros(3)))
+
+
+class TestNoTape:
+    def test_no_grad_nodes_keep_no_parents_or_closures(self):
+        frozen = [Var(np.ones((2, 3, 3)), requires_grad=False) for _ in range(2)]
+        out = ad.softmax_rows(ad.matmul(*frozen))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+    def test_no_grad_forward_of_the_model_keeps_no_tape(self):
+        model = PartitionedModel(desk_config(60), seed=0)
+        model.add_head("t", np.random.default_rng(1))
+        seen = []
+        matmul = ad.matmul
+
+        def spy(a, b):
+            out = matmul(a, b)
+            seen.append(out)
+            return out
+        leaves = model.registry.leaf_vars(tuple(Partition))
+        ids = np.random.default_rng(2).integers(2, 60, (3, 7))
+        try:
+            ad.matmul = spy
+            lg, _ = model.logits(ids, ids > 5, "t", leaves)
+        finally:
+            ad.matmul = matmul
+        assert seen and all(v._parents == () and v._backward is None for v in seen + [lg])
+
+    def test_backward_keeps_only_leaf_grads(self):
+        w = Var(np.array([[1.0, 2.0]]))
+        x = Var(np.array([[3.0], [4.0]]))
+        hidden = ad.matmul(w, x)
+        loss = ad.sum_all(ad.gelu(hidden))
+        ad.backward(loss)
+        assert w.grad is not None and x.grad is not None
+        assert hidden.grad is None and loss.grad is None
+
+
 class TestRegistry:
     def make_registry(self):
         rng = np.random.default_rng(7)
@@ -303,6 +413,18 @@ class TestCheckpoint:
         ad.save_checkpoint(reg, path, config_hash="abc123")
         with pytest.raises(ad.CheckpointError, match="config hash"):
             ad.load_checkpoint(path, expected_config_hash="other")
+
+    @pytest.mark.parametrize("damage,match", [
+        (lambda blob: blob[:10], "truncated header"),
+        (lambda blob: blob[:-5], "truncated payload"),
+        (lambda blob: blob + b"\0" * 8, "trailing bytes"),
+    ], ids=["short_header", "truncated_payload", "trailing_bytes"])
+    def test_damaged_file_rejected(self, tmp_path, damage, match):
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(TestRegistry().make_registry(), path, "h")
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ad.CheckpointError, match=match):
+            ad.load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"

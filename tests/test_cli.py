@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +59,22 @@ class TestConfig:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda d: d["split"].update(train_sise=10), "data.split.train_sise"),
+        (lambda d: d["synthetic"].update(n_sentence_source=10), "data.synthetic.n_sentence_source"),
+        (lambda d: d.update(conll={"targets": {"ta": "ta.conll"}}), "data.conll.sources"),
+    ], ids=["split_typo", "synthetic_typo", "conll_without_sources"])
+    def test_data_typos_fail_cleanly(self, tiny_config, tmp_path, capsys, edit, key):
+        cfg = json.loads(tiny_config.read_text())
+        edit(cfg["data"])
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(cfg))
+        rc = run(["prime", "--config", path, "--out", tmp_path / "o"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and key in err["message"]
 
 
 class TestLongSentences:
@@ -121,6 +141,24 @@ class TestPrime:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "TrainingDiverged"
         assert "outer step 0" in err["message"]
+
+    def test_diverged_training_stderr_is_one_json_object(self, tiny_config, tmp_path):
+        # a fresh interpreter, so numpy's floating-point warnings would reach stderr
+        cfg = json.loads(tiny_config.read_text())
+        cfg["priming"]["alpha"] = 1e300
+        cfg["pretrain"] = {"steps": 0}
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(cfg))
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "peprime.cli", "prime", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr)
+        assert err["error"] == "TrainingDiverged"
 
 
 class TestFinetuneCommand:

@@ -9,6 +9,7 @@ from peprime.model import (
     count_trainable_fraction,
     desk_config,
     format_fraction_percent,
+    pad_rows,
 )
 
 ALL_PARTITIONS = (Partition.PRETRAINED, Partition.LIGHTWEIGHT, Partition.HEAD)
@@ -297,6 +298,96 @@ class TestFreeze:
         m.registry.restore(snap)
         for p in m.registry:
             assert p.value.data.tobytes() == snap[p.id].tobytes()
+
+
+def labelled_batch(rng, n_seq=6):
+    """Sequences of different lengths; about one label in five is -1 (dropped)."""
+    batch = []
+    for n in rng.integers(3, 15, n_seq):
+        labels = rng.integers(0, 7, n)
+        labels[rng.random(n) < 0.2] = -1
+        labels[0] = max(labels[0], 0)
+        batch.append((rng.integers(2, 60, n), labels))
+    return batch
+
+
+def per_sequence_reference(model, batch):
+    """Loss and gradients of ``batch_loss`` run one sequence at a time, weighted by token counts."""
+    counts = [int(np.count_nonzero(labels >= 0)) for _, labels in batch]
+    total = sum(counts)
+    loss, grads = 0.0, {}
+    for seq, n in zip(batch, counts):
+        seq_loss, leaves = model.batch_loss([seq], "t")
+        loss += n * float(seq_loss.data) / total
+        for pid, g in ad.grads_for(seq_loss, leaves).items():
+            grads[pid] = grads.get(pid, 0.0) + n * g / total
+    return loss, grads
+
+
+class TestBatchedEngine:
+    @pytest.mark.parametrize("frozen", [
+        (),
+        (Partition.PRETRAINED,),
+        (Partition.PRETRAINED, Partition.LIGHTWEIGHT),
+    ], ids=["nothing", "encoder", "encoder+adapter"])
+    def test_matches_per_sequence_reference(self, frozen):
+        rng = np.random.default_rng(3)
+        model, reference = fresh_model(), fresh_model()
+        model.freeze(frozen)
+        reference.freeze(frozen)
+        for _ in range(3):
+            batch = labelled_batch(rng)
+            loss, leaves = model.batch_loss(batch, "t")
+            grads = ad.grads_for(loss, leaves)
+            ref_loss, ref_grads = per_sequence_reference(reference, batch)
+            assert float(loss.data) == pytest.approx(ref_loss, rel=1e-12)
+            assert list(grads) == [p.id for p in model.registry if p.partition not in frozen]
+            # relative to the largest entry: attn.wk_b's true gradient is 0,
+            # so both engines give it rounding noise only
+            tol = 1e-12 * max(np.abs(g).max() for g in ref_grads.values())
+            for pid, g in grads.items():
+                np.testing.assert_allclose(g, ref_grads[pid], rtol=0, atol=tol, err_msg=pid)
+
+    def test_pad_content_does_not_leak_in_a_batch(self):
+        m = fresh_model()
+        rng = np.random.default_rng(4)
+        ids = rng.integers(2, 60, (3, 8))
+        mask = np.ones((3, 8), dtype=bool)
+        mask[0, 5:] = mask[2, 3:] = False
+        other = np.where(mask, ids, rng.integers(2, 60, ids.shape))
+        assert (other != ids).any()
+        a = m.logits(ids, mask, "t")[0].data
+        b = m.logits(other, mask, "t")[0].data
+        assert a[mask].tobytes() == b[mask].tobytes()
+
+    def test_sequence_batched_with_a_longer_one_matches_solo(self):
+        m = fresh_model()
+        rng = np.random.default_rng(5)
+        short, long_ = rng.integers(2, 60, 5), rng.integers(2, 60, 13)
+        ids = pad_rows([short, long_], 0)
+        mask = pad_rows([np.ones(5, bool), np.ones(13, bool)], False)
+        batched = m.logits(ids, mask, "t")[0].data
+        solo = m.logits(short, np.ones(5, bool), "t")[0].data
+        np.testing.assert_allclose(batched[0, :5], solo, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(m.predict(ids, mask, "t")[1],
+                                      m.predict(long_, np.ones(13, bool), "t"))
+
+    def test_frozen_encoder_encodes_only_new_sequences(self, monkeypatch):
+        m = fresh_model()
+        m.freeze((Partition.PRETRAINED,))
+        widths = []
+        encode = m.encode
+
+        def counting(ids, mask, leaves):
+            widths.append(np.shape(ids))
+            return encode(ids, mask, leaves)
+        monkeypatch.setattr(m, "encode", counting)
+        batch = labelled_batch(np.random.default_rng(6), n_seq=4)
+        m.batch_loss(batch[:2], "t")
+        m.batch_loss(batch, "t")                   # two stored, two new
+        m.batch_loss(batch[::-1], "t")             # all stored
+        longest_new = max(len(ids) for ids, _ in batch[2:])
+        assert widths == [widths[0], (2, longest_new)]
 
 
 class TestTrainableFraction:

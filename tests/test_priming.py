@@ -120,10 +120,13 @@ class TestInnerAdapt:
             grads = ad.grads_for(loss, leaves)
             for pid in light:
                 expected.registry[pid].value.data -= c.alpha * grads[pid]
-        assert result.support_losses == losses
+        # memoized states come from batches of other widths than a fresh
+        # encode, so they agree to rounding, not bit for bit
+        np.testing.assert_allclose(result.support_losses, losses, rtol=1e-12)
         assert result.adapted.frozen == ()
         for p in expected.registry:
-            assert result.adapted.registry[p.id].value.data.tobytes() == p.value.data.tobytes()
+            np.testing.assert_allclose(result.adapted.registry[p.id].value.data, p.value.data,
+                                       rtol=1e-10, atol=1e-13, err_msg=p.id)
 
     def test_full_maml_updates_pretrained(self):
         model = small_real_model()
