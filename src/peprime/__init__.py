@@ -25,12 +25,11 @@ from .finetune import (
     EvalReport,
     FineTuneHyperparams,
     FineTuneSetting,
-    extract_spans,
     finetune,
     micro_f1,
     run_matrix,
 )
-from .model import ModelConfig, PartitionedModel, count_trainable_fraction, desk_config
+from .model import ModelConfig, PartitionedModel, count_trainable_fraction
 from .priming import AdamW, PrimingConfig, ft_prime, inner_adapt, outer_step, prime
 
 __version__ = "0.1.0"

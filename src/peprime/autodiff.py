@@ -36,7 +36,6 @@ on; only leaves keep theirs.
 
 from __future__ import annotations
 
-import copy
 import enum
 import hashlib
 import json
@@ -400,7 +399,6 @@ class Parameter:
     id: str
     value: Tensor
     partition: Partition
-    trainable: bool = True
 
 
 class ParameterRegistry:
@@ -409,10 +407,10 @@ class ParameterRegistry:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
 
-    def add(self, pid: str, value, partition: Partition, trainable: bool = True) -> Parameter:
+    def add(self, pid: str, value, partition: Partition) -> Parameter:
         if pid in self._params:
             raise ContractError(f"duplicate parameter id {pid!r}")
-        p = Parameter(pid, Tensor(np.asarray(value, dtype=np.float64)), partition, trainable)
+        p = Parameter(pid, Tensor(np.asarray(value, dtype=np.float64)), partition)
         self._params[pid] = p
         return p
 
@@ -461,7 +459,7 @@ class ParameterRegistry:
     def deep_copy(self) -> "ParameterRegistry":
         other = ParameterRegistry()
         for p in self._params.values():
-            other.add(p.id, p.value.data.copy(), p.partition, p.trainable)
+            other.add(p.id, p.value.data.copy(), p.partition)
         return other
 
 
@@ -565,8 +563,7 @@ class GradCheckReport:
 
 
 def finite_difference_check(loss_fn, registry: ParameterRegistry,
-                            epsilon: float = 1e-5, tolerance: float = 1e-4,
-                            param_ids=None) -> GradCheckReport:
+                            epsilon: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients with central finite differences.
 
     ``loss_fn(registry)`` must return ``(loss Var, leaves dict)`` and be
@@ -577,11 +574,8 @@ def finite_difference_check(loss_fn, registry: ParameterRegistry,
     if not np.isfinite(loss.data):
         raise ContractError(f"finite_difference_check: non-finite loss {loss.data}")
     analytic = grads_for(loss, leaves)
-    if param_ids is None:
-        param_ids = [p.id for p in registry if p.trainable]
-
     report = GradCheckReport(tolerance=tolerance)
-    for pid in param_ids:
+    for pid in registry.ids():
         arr = registry[pid].value.data
         a = analytic[pid]
         worst = GradCheckEntry(pid, 0.0, (), 0.0, 0.0)
@@ -602,6 +596,16 @@ def finite_difference_check(loss_fn, registry: ParameterRegistry,
                 worst = GradCheckEntry(pid, rel, np.unravel_index(k, arr.shape), float(ana), float(num))
         report.entries.append(worst)
     return report
+
+
+def check_ranges(obj, minimum: dict, positive=()):
+    """Raise ValueError naming each field of ``obj`` below its ``minimum`` or not > 0."""
+    bad = [f"{k} must be >= {m} (got {getattr(obj, k)})"
+           for k, m in minimum.items() if getattr(obj, k) < m]
+    bad += [f"{k} must be > 0 (got {getattr(obj, k)})" for k in positive
+            if not getattr(obj, k) > 0]
+    if bad:
+        raise ValueError("; ".join(bad))
 
 
 def stable_hash(obj) -> str:

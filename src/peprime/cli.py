@@ -1,8 +1,11 @@
 """Command-line harness: one entry point for the whole experiment grid.
 
 Subcommands: generate-data, prime, finetune, evaluate, matrix, report.
-A JSON run config fully determines every artifact; the config used is
-copied into the output directory next to the results.
+A JSON run config, deep-merged over ``DEFAULT_CONFIG``, fully determines
+every artifact; the merged config is copied into the output directory next
+to the results. ``DEFAULT_CONFIG`` takes each section's defaults from its
+config dataclass. An unknown key or a value of another JSON type than its
+default is a ``ConfigError``; the dataclasses check the value ranges.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as D
 from .finetune import (
+    MATRIX_CELLS,
     Experiment,
     FineTuneHyperparams,
     FineTuneSetting,
@@ -27,6 +31,7 @@ from .finetune import (
     prepare_init,
     pretrained_encoder,
     run_matrix,
+    strip_heads,
 )
 from .model import ModelConfig, PartitionedModel
 from .priming import PrimingConfig, TrainingDiverged, ft_prime, prime
@@ -36,18 +41,18 @@ class ConfigError(ValueError):
     pass
 
 
+def _defaults(cls) -> dict:
+    """The field defaults of a config dataclass; a field without one is not a config key."""
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+# only the synthetic data and the seeds have no dataclass to take defaults from
 DEFAULT_CONFIG = {
-    "model": {"d_model": 32, "n_layers": 2, "n_heads": 2, "d_ff": 64,
-              "max_seq_len": 32, "n_labels": 7, "adapter_bottleneck": 8,
-              "adapter_nonlinearity": "relu", "adapter_residual": True},
-    # beta/outer_steps are desk-scale: the full-scale default (5e-5) does
-    # not move a model this small within any sane step budget.
-    "priming": {"alpha": 0.03, "beta": 5e-4, "inner_steps": 5, "inner_mode": "pe_sim",
-                "alpha_full": 1e-4, "tasks_per_outer_batch": 2, "outer_steps": 400,
-                "support_batch_size": 8, "query_batch_size": 32, "seed": 0},
-    "finetune": {"lr_full": 5e-5, "lr_pe": 1e-3, "steps": 50, "batch_size": 16,
-                 "eval_every": 10},
-    "pretrain": {"steps": 300, "lr": 1e-3, "batch_size": 16},
+    "model": _defaults(ModelConfig),
+    "priming": _defaults(PrimingConfig),
+    "finetune": _defaults(FineTuneHyperparams),
+    "pretrain": _defaults(PretrainConfig),
     "data": {
         "synthetic": {
             "sources": ["srcA", "srcB"],
@@ -58,10 +63,7 @@ DEFAULT_CONFIG = {
             "mean_sentence_length": 9.0,
             "family_seed": 7,
         },
-        # small target train split: the low-resource regime is where init
-        # quality (and hence priming) is measurable at all
-        "split": {"support_size": 256, "query_size": 256,
-                  "train_size": 64, "val_size": 100, "test_size": 200},
+        "split": _defaults(D.SplitSpec),
     },
     "seeds": [0, 1, 2],
 }
@@ -70,9 +72,9 @@ DEFAULT_CONFIG = {
 def load_config(path) -> dict:
     with open(path, encoding="utf-8") as f:
         cfg = json.load(f)
+    _validate_config(cfg)
     merged = json.loads(json.dumps(DEFAULT_CONFIG))
     _deep_update(merged, cfg)
-    _validate_config(merged)
     return merged
 
 
@@ -85,39 +87,37 @@ def _deep_update(base: dict, other: dict):
 
 
 def _validate_config(cfg: dict):
-    bad = [k for k in cfg if k not in DEFAULT_CONFIG]
-    bad += [f"model.{k}" for k in cfg["model"] if k not in DEFAULT_CONFIG["model"]]
-    bad += [f"priming.{k}" for k in cfg["priming"] if k not in DEFAULT_CONFIG["priming"]]
-    bad += [f"finetune.{k}" for k in cfg["finetune"] if k not in DEFAULT_CONFIG["finetune"]]
-    bad += [f"pretrain.{k}" for k in cfg["pretrain"] if k not in DEFAULT_CONFIG["pretrain"]]
-    bad += [f"data.{k}" for k in cfg["data"] if k not in ("synthetic", "conll", "split")]
-    for section in ("synthetic", "split"):
-        allowed = DEFAULT_CONFIG["data"][section]
-        bad += [f"data.{section}.{k}" for k in cfg["data"][section] if k not in allowed]
-    conll = cfg["data"].get("conll")
+    """Reject unknown keys and values of another JSON type than their default."""
+    problems = list(_problems(cfg, DEFAULT_CONFIG, ""))
+    conll = cfg.get("data", {}).get("conll") if not problems else None
     if conll is not None:
-        if not isinstance(conll, dict):
-            raise ConfigError("data.conll must be an object with 'sources' and 'targets'")
-        bad += [f"data.conll.{k}" for k in conll if k not in ("sources", "targets")]
-        missing = [f"data.conll.{k}" for k in ("sources", "targets")
-                   if not isinstance(conll.get(k), dict)]
-        if missing:
-            raise ConfigError(f"missing config keys (language -> path objects): "
-                              f"{', '.join(missing)}")
-    if bad:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(bad))}")
+        if not (isinstance(conll, dict) and isinstance(conll.get("sources"), dict)
+                and isinstance(conll.get("targets"), dict)):
+            raise ConfigError("data.conll.sources and data.conll.targets must be "
+                              "objects (language -> path)")
+        problems += [f"unknown key data.conll.{k}" for k in conll
+                     if k not in ("sources", "targets")]
+    if problems:
+        raise ConfigError("bad config: " + "; ".join(problems))
 
 
-def _language_specs(syn: dict):
-    fam = syn.get("family_seed", 7)
-    specs = {}
-    for i, lang in enumerate(list(syn["sources"]) + list(syn["targets"])):
-        specs[lang] = D.SyntheticLanguageSpec(
-            language_id=lang, seed=fam * 1000 + i,
-            entity_rate=syn["entity_rate"],
-            mean_sentence_length=syn["mean_sentence_length"],
-        )
-    return specs
+def _problems(value, default, path: str):
+    """Unknown keys and mistyped values under ``path``; an int passes as a float,
+    a bool never as a number, and list items must have the type of the default's."""
+    if type(value) is not type(default) and not (type(default) is float and type(value) is int):
+        yield f"{path or 'the config'} must be {type(default).__name__}, got {json.dumps(value)}"
+    elif isinstance(default, dict):
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else key
+            if key in default:
+                yield from _problems(item, default[key], where)
+            elif where != "data.conll":    # optional, checked by _validate_config
+                yield f"unknown key {where}"
+    elif isinstance(default, list):
+        if not value:
+            yield f"{path} must not be empty"
+        for i, item in enumerate(value):
+            yield from _problems(item, default[0], f"{path}[{i}]")
 
 
 def build_corpora(cfg: dict):
@@ -134,7 +134,11 @@ def build_corpora(cfg: dict):
         targets = {l: D.load_conll(p, max_len) for l, p in paths["targets"].items()}
         return sources, targets
     syn = dcfg["synthetic"]
-    specs = _language_specs(syn)
+    languages = list(syn["sources"]) + list(syn["targets"])
+    specs = {lang: D.SyntheticLanguageSpec(language_id=lang, seed=syn["family_seed"] * 1000 + i,
+                                           entity_rate=syn["entity_rate"],
+                                           mean_sentence_length=syn["mean_sentence_length"])
+             for i, lang in enumerate(languages)}
 
     def generate(lang, n):
         return D.truncate_corpus(D.generate_language(specs[lang], n), max_len)
@@ -145,30 +149,66 @@ def build_corpora(cfg: dict):
 
 
 def build_experiment(cfg: dict) -> Experiment:
+    if cfg["model"]["n_labels"] != len(D.LABELS):
+        raise ConfigError(f"model.n_labels must be {len(D.LABELS)}, the size of the label set")
+    split = _section(D.SplitSpec, "data.split", cfg["data"]["split"])
+    priming = _section(PrimingConfig, "priming", cfg["priming"])
+    hyper = _section(FineTuneHyperparams, "finetune", cfg["finetune"])
+    pretrain = _section(PretrainConfig, "pretrain", cfg["pretrain"])
     sources, targets = build_corpora(cfg)
     vocab = D.Vocab.build(list(sources.values()) + list(targets.values()))
-    split = D.SplitSpec(**cfg["data"]["split"])
     meta_tasks = D.build_meta_dataset(sources, split, vocab)
     target_splits = {lang: D.split_target(corpus, split, vocab)
                      for lang, corpus in targets.items()}
-    model_config = ModelConfig(vocab_size=len(vocab), **cfg["model"])
     return Experiment(
         vocab=vocab,
         meta_tasks=meta_tasks,
         targets=target_splits,
-        model_config=model_config,
-        priming=PrimingConfig(**cfg["priming"]),
-        hyper=FineTuneHyperparams(**cfg["finetune"]),
-        pretrain=PretrainConfig(**cfg["pretrain"]),
+        model_config=_section(ModelConfig, "model", cfg["model"], vocab_size=len(vocab)),
+        priming=priming,
+        hyper=hyper,
+        pretrain=pretrain,
     )
+
+
+def _section(cls, name: str, values: dict, **extra):
+    """``cls(**values, **extra)``; a value out of range is a ConfigError naming the section."""
+    try:
+        return cls(**values, **extra)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _target(exp: Experiment, language: str):
+    """(train, val, test) of a target language named on the command line."""
+    if language not in exp.targets:
+        raise ConfigError(f"unknown target language {language!r}; "
+                          f"have {sorted(exp.targets)}")
+    return exp.targets[language]
 
 
 def _prepare_out(cfg: dict, out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "run_config.json", "w", encoding="utf-8") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(cfg, out / "run_config.json")
     return out
+
+
+def _start(args):
+    """(merged config, output directory holding run_config.json, experiment)."""
+    cfg = load_config(args.config)
+    return cfg, _prepare_out(cfg, Path(args.out)), build_experiment(cfg)
+
+
+def _load_model(path, exp: Experiment) -> PartitionedModel:
+    registry = ad.load_checkpoint(path, exp.model_config.hash())
+    return PartitionedModel(exp.model_config, registry=registry,
+                            has_adapter="adapter.down" in registry)
+
+
+def _write_json(obj, path):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _write_jsonl(records, path):
@@ -194,24 +234,19 @@ def cmd_generate_data(args):
 
 
 def cmd_prime(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(cfg, Path(args.out))
-    exp = build_experiment(cfg)
+    cfg, out, exp = _start(args)
     seed = cfg["priming"]["seed"] if args.seed is None else args.seed
     pcfg = dataclasses.replace(exp.priming, seed=seed,
                                inner_mode=args.inner_mode or exp.priming.inner_mode)
     if args.init_checkpoint:
-        registry = ad.load_checkpoint(args.init_checkpoint, exp.model_config.hash())
-        base = PartitionedModel(exp.model_config, registry=registry)
+        base = _load_model(args.init_checkpoint, exp)
     else:
         base = PartitionedModel(exp.model_config, seed=seed)
         for pid, arr in pretrained_encoder(exp, seed).items():
             base.registry[pid].value.data = arr.copy()
     log: list = []
     runner = ft_prime if args.ft else prime
-    primed = runner(base, exp.meta_tasks, pcfg, log=log)
-    from .finetune import strip_heads
-    primed = strip_heads(primed)
+    primed = strip_heads(runner(base, exp.meta_tasks, pcfg, log=log))
     ad.save_checkpoint(primed.registry, out / "primed.ckpt", exp.model_config.hash())
     _write_jsonl(log, out / "prime_log.jsonl")
     print(f"primed checkpoint: {out / 'primed.ckpt'} ({pcfg.outer_steps} outer steps, "
@@ -220,21 +255,14 @@ def cmd_prime(args):
 
 
 def cmd_finetune(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(cfg, Path(args.out))
-    exp = build_experiment(cfg)
+    cfg, out, exp = _start(args)
     setting = FineTuneSetting(args.setting)
     seed = args.seed if args.seed is not None else cfg["seeds"][0]
-    if args.language not in exp.targets:
-        raise ConfigError(f"unknown target language {args.language!r}; "
-                          f"have {sorted(exp.targets)}")
+    train, val_corpus, test_corpus = _target(exp, args.language)
     if args.init_checkpoint:
-        registry = ad.load_checkpoint(args.init_checkpoint, exp.model_config.hash())
-        init = PartitionedModel(exp.model_config, registry=registry,
-                                has_adapter="adapter.down" in registry)
+        init = _load_model(args.init_checkpoint, exp)
     else:
         init = prepare_init(exp, setting, seed)
-    train, val_corpus, test_corpus = exp.targets[args.language]
     result = finetune(init, setting, train, val_corpus, exp.vocab, exp.hyper, seed=seed)
     report = evaluate_setting(result.model, setting, test_corpus, exp.vocab,
                               args.language, seed)
@@ -247,15 +275,10 @@ def cmd_finetune(args):
 
 
 def cmd_evaluate(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(cfg, Path(args.out))
-    exp = build_experiment(cfg)
-    registry = ad.load_checkpoint(args.init_checkpoint, exp.model_config.hash())
-    model = PartitionedModel(exp.model_config, registry=registry,
-                             has_adapter="adapter.down" in registry)
-    setting = FineTuneSetting(args.setting) if args.setting else FineTuneSetting.ADAPTER_TUNING
-    _, _, test_corpus = exp.targets[args.language]
-    report = evaluate_setting(model, setting, test_corpus, exp.vocab,
+    _, out, exp = _start(args)
+    _, _, test_corpus = _target(exp, args.language)
+    model = _load_model(args.init_checkpoint, exp)
+    report = evaluate_setting(model, FineTuneSetting(args.setting), test_corpus, exp.vocab,
                               args.language, args.seed or 0)
     _write_jsonl([report.to_dict()], out / "report.jsonl")
     print(f"{args.language}: F1={report.f1:.2f} P={report.precision:.2f} "
@@ -264,16 +287,11 @@ def cmd_evaluate(args):
 
 
 def cmd_matrix(args):
-    cfg = load_config(args.config)
-    out = _prepare_out(cfg, Path(args.out))
-    exp = build_experiment(cfg)
+    cfg, out, exp = _start(args)
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
     matrix, reports = run_matrix(exp, seeds)
     _write_jsonl([r.to_dict() for r in reports], out / "reports.jsonl")
-    with open(out / "matrix.json", "w", encoding="utf-8") as f:
-        json.dump({f"{row}|{col}": v for (row, col), v in matrix.items()},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json({f"{row}|{col}": v for (row, col), v in matrix.items()}, out / "matrix.json")
     print(render_matrix(matrix))
     return 0
 
@@ -307,33 +325,29 @@ def render_table(records) -> str:
     settings = [s for s in SETTING_ORDER if any(k[0] == s for k in means)]
     col_max = {lang: max((means[(s, lang)] for s in settings if (s, lang) in means),
                          default=None) for lang in languages}
+
+    def cell(s, lang):
+        v = means.get((s, lang))
+        if v is None:
+            return "-"
+        return f"**{v:.2f}**" if v == col_max[lang] else f"{v:.2f}"
+
     lines = ["| setting | " + " | ".join(languages) + " |",
              "|---" * (len(languages) + 1) + "|"]
-    for s in settings:
-        cells = []
-        for lang in languages:
-            v = means.get((s, lang))
-            if v is None:
-                cells.append("-")
-            elif v == col_max[lang]:
-                cells.append(f"**{v:.2f}**")
-            else:
-                cells.append(f"{v:.2f}")
-        lines.append(f"| {s} | " + " | ".join(cells) + " |")
+    lines += [f"| {s} | " + " | ".join(cell(s, lang) for lang in languages) + " |"
+              for s in settings]
     return "\n".join(lines) + "\n"
 
 
 def render_matrix(matrix: dict) -> str:
-    rows = ("at", "full_ft")
-    cols = ("pe_sim", "full_sim")
+    """Rows and columns in ``MATRIX_CELLS`` order; the diagonal is bold."""
+    rows = list(dict.fromkeys(row for row, _ in MATRIX_CELLS))
+    cols = list(dict.fromkeys(col for _, col in MATRIX_CELLS))
     lines = ["| downstream \\ priming | " + " | ".join(cols) + " |",
-             "|---|---|---|"]
-    for row in rows:
-        cells = []
-        for col in cols:
-            v = matrix[(row, col)]
-            diag = (row == "at") == (col == "pe_sim")
-            cells.append(f"**{v:.2f}**" if diag else f"{v:.2f}")
+             "|---" * (len(cols) + 1) + "|"]
+    for i, row in enumerate(rows):
+        cells = [f"**{matrix[(row, col)]:.2f}**" if i == j else f"{matrix[(row, col)]:.2f}"
+                 for j, col in enumerate(cols)]
         lines.append(f"| {row} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
@@ -345,41 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Priming experiments for PE fine-tuning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False, setting=False, language=False):
+    def command(name, run, help, setting=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        if checkpoint:
-            p.add_argument("--init-checkpoint", default=None)
         if setting:
-            p.add_argument("--setting", choices=[s.value for s in FineTuneSetting])
-        if language:
+            p.add_argument("--setting", required=True, choices=SETTING_ORDER)
             p.add_argument("--language", required=True)
+        return p
 
-    common(sub.add_parser("generate-data", help="write corpora as CoNLL files"))
-    p = sub.add_parser("prime", help="run the priming stage, save checkpoint + log")
-    common(p, checkpoint=True)
+    command("generate-data", cmd_generate_data, "write corpora as CoNLL files")
+    p = command("prime", cmd_prime, "run the priming stage, save checkpoint + log")
+    p.add_argument("--init-checkpoint", default=None)
     p.add_argument("--ft", action="store_true", help="use fine-tuning-based priming")
     p.add_argument("--inner-mode", choices=["pe_sim", "full_maml"], default=None)
-    p = sub.add_parser("finetune", help="fine-tune one setting on one language")
-    common(p, checkpoint=True, setting=True, language=True)
-    p = sub.add_parser("evaluate", help="evaluate a trained checkpoint")
-    common(p, checkpoint=True, setting=True, language=True)
-    common(sub.add_parser("matrix", help="run the 2x2 priming/fine-tuning grid"))
+    p = command("finetune", cmd_finetune, "fine-tune one setting on one language", setting=True)
+    p.add_argument("--init-checkpoint", default=None)
+    p = command("evaluate", cmd_evaluate, "evaluate a trained checkpoint", setting=True)
+    p.add_argument("--init-checkpoint", required=True)
+    command("matrix", cmd_matrix, "run the 2x2 priming/fine-tuning grid")
     p = sub.add_parser("report", help="render markdown tables from result JSONL")
+    p.set_defaults(run=cmd_report)
     p.add_argument("results", nargs="+", help="JSONL result files")
     p.add_argument("--out", default=None)
     return parser
-
-
-COMMANDS = {
-    "generate-data": cmd_generate_data,
-    "prime": cmd_prime,
-    "finetune": cmd_finetune,
-    "evaluate": cmd_evaluate,
-    "matrix": cmd_matrix,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -388,9 +393,9 @@ def main(argv=None) -> int:
         # overflow in a diverging run is caught by the isfinite checks and
         # reported as TrainingDiverged; numpy's warnings would only add noise
         with np.errstate(all="ignore"):
-            return COMMANDS[args.command](args)
+            return args.run(args)
     except (ConfigError, ad.CheckpointError, ad.ContractError, TrainingDiverged,
-            FileNotFoundError, ValueError) as exc:
+            OSError, ValueError) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

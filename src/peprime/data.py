@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import check_ranges
+
 ENTITY_TYPES = ("PER", "ORG", "LOC")
 LABELS = ("O", "B-PER", "I-PER", "B-ORG", "I-ORG", "B-LOC", "I-LOC")
 LABEL_TO_ID = {lab: i for i, lab in enumerate(LABELS)}
@@ -277,9 +279,13 @@ class Vocab:
 class SplitSpec:
     support_size: int = 256
     query_size: int = 256
-    train_size: int = 400
+    train_size: int = 64    # full scale: 400; low-resource, where init quality shows
     val_size: int = 100
     test_size: int = 200
+
+    def __post_init__(self):
+        check_ranges(self, {"support_size": 1, "query_size": 1, "train_size": 1,
+                            "val_size": 1, "test_size": 1})
 
 
 @dataclass
@@ -291,19 +297,28 @@ class MetaTask:
     query: list
 
     def support_batches(self, batch_size: int, rng):
-        """Endless deterministic mini-batches, reshuffled each pass."""
-        order = rng.permutation(len(self.support))
-        pos = 0
-        while True:
-            if pos + batch_size > len(order):
-                order = rng.permutation(len(self.support))
-                pos = 0
-            yield [self.support[i] for i in order[pos:pos + batch_size]]
-            pos += batch_size
+        return minibatches(self.support, batch_size, rng)
 
     def query_batch(self, batch_size: int, rng):
-        idx = rng.choice(len(self.query), size=min(batch_size, len(self.query)), replace=False)
-        return [self.query[i] for i in idx]
+        return sample_batch(self.query, batch_size, rng)
+
+
+def minibatches(seqs: list, batch_size: int, rng):
+    """Endless deterministic mini-batches of ``seqs``, reshuffled each pass."""
+    order = rng.permutation(len(seqs))
+    pos = 0
+    while True:
+        if pos + batch_size > len(order):
+            order = rng.permutation(len(seqs))
+            pos = 0
+        yield [seqs[i] for i in order[pos:pos + batch_size]]
+        pos += batch_size
+
+
+def sample_batch(seqs: list, batch_size: int, rng) -> list:
+    """``batch_size`` distinct items of ``seqs`` (all of them, if fewer), in draw order."""
+    idx = rng.choice(len(seqs), size=min(batch_size, len(seqs)), replace=False)
+    return [seqs[i] for i in idx]
 
 
 def build_meta_dataset(source_corpora: dict, split: SplitSpec, vocab: Vocab) -> list:

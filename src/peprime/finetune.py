@@ -9,77 +9,74 @@ validation sequence is encoded once. The returned model is unfrozen.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Partition
-from .data import Corpus, LABELS, Vocab, bio_spans
+from .data import Corpus, LABELS, Vocab, bio_spans, minibatches
 from .model import PartitionedModel, count_trainable_fraction, pad_rows
-from .priming import AdamW, PrimingConfig, TrainingDiverged, prime, ft_prime
+from .priming import AdamW, PrimingConfig, adamw_step, prime, ft_prime
 
 TARGET_HEAD = "target"
 PREDICT_CHUNK = 32   # sequences per padded prediction batch
 
+_ENCODER_HEAD = (Partition.PRETRAINED, Partition.HEAD)
+_ADAPTER_HEAD = (Partition.LIGHTWEIGHT, Partition.HEAD)
+_META = ("meta", {})
+_FULL_LOOP = ("meta", {"inner_mode": "full_maml"})
+
 
 class FineTuneSetting(enum.Enum):
-    FULL_FT = "full_ft"                      # 1: encoder+head, no adapter, no priming
-    HEAD_TUNING = "head_tuning"              # 2: head only
-    ADAPTER_TUNING = "adapter_tuning"        # 3: adapter+head, fresh adapter
-    META_PRIME_AT = "meta_prime_at"          # 4: adapter+head from priming
-    FT_PRIME_AT = "ft_prime_at"              # 5: adapter+head from fine-tuning-based priming
-    MAML_LOOP_PRIME_AT = "maml_loop_prime_at"     # 6: priming with full inner loop
-    ONE_STEP_PRIME_AT = "one_step_prime_at"       # 7: priming with a single inner step
-    META_PRIME_FULLFT = "meta_prime_fullft"       # full FT after pe_sim priming
-    MAML_LOOP_PRIME_FULLFT = "maml_loop_prime_fullft"  # full FT after full-loop priming
-    NOPRIME_FULLFT = "noprime_fullft"        # full FT baseline, alias of setting 1
+    """The downstream settings, one row each.
 
+    A row gives the setting's name, the partitions it trains, whether its
+    model has an adapter, and its priming recipe: ``(kind, PrimingConfig
+    overrides)`` with kind ``"meta"`` (``prime``) or ``"ft"`` (``ft_prime``),
+    or None for an unprimed init. The first seven rows are the paper's
+    settings 1-7; the last two fine-tune fully after priming, for the 2x2 matrix.
+    """
 
-_AT_SETTINGS = {
-    FineTuneSetting.HEAD_TUNING: (Partition.HEAD,),
-}
-_FULL = (Partition.PRETRAINED, Partition.LIGHTWEIGHT, Partition.HEAD)
+    FULL_FT = ("full_ft", _ENCODER_HEAD, False, None)
+    HEAD_TUNING = ("head_tuning", (Partition.HEAD,), True, None)
+    ADAPTER_TUNING = ("adapter_tuning", _ADAPTER_HEAD, True, None)
+    META_PRIME_AT = ("meta_prime_at", _ADAPTER_HEAD, True, _META)
+    FT_PRIME_AT = ("ft_prime_at", _ADAPTER_HEAD, True, ("ft", {}))
+    MAML_LOOP_PRIME_AT = ("maml_loop_prime_at", _ADAPTER_HEAD, True, _FULL_LOOP)
+    ONE_STEP_PRIME_AT = ("one_step_prime_at", _ADAPTER_HEAD, True, ("meta", {"inner_steps": 1}))
+    META_PRIME_FULLFT = ("meta_prime_fullft", tuple(Partition), True, _META)
+    MAML_LOOP_PRIME_FULLFT = ("maml_loop_prime_fullft", tuple(Partition), True, _FULL_LOOP)
 
+    def __new__(cls, value, trains, has_adapter, priming):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.trains, member.has_adapter, member.priming = trains, has_adapter, priming
+        return member
 
-def trainable_partitions(setting: FineTuneSetting):
-    if setting in (FineTuneSetting.FULL_FT, FineTuneSetting.NOPRIME_FULLFT):
-        return (Partition.PRETRAINED, Partition.HEAD)
-    if setting in (FineTuneSetting.META_PRIME_FULLFT, FineTuneSetting.MAML_LOOP_PRIME_FULLFT):
-        return _FULL
-    if setting is FineTuneSetting.HEAD_TUNING:
-        return (Partition.HEAD,)
-    return (Partition.LIGHTWEIGHT, Partition.HEAD)
-
-
-def adapter_present(setting: FineTuneSetting) -> bool:
-    """Setting 1 (and its alias) is the only adapter-free model."""
-    return setting not in (FineTuneSetting.FULL_FT, FineTuneSetting.NOPRIME_FULLFT)
+    def lr(self, hyper: "FineTuneHyperparams") -> float:
+        """``lr_full`` when the encoder trains, ``lr_pe`` otherwise."""
+        return hyper.lr_full if Partition.PRETRAINED in self.trains else hyper.lr_pe
 
 
 def priming_recipe(setting: FineTuneSetting):
-    """(kind, PrimingConfig overrides) for settings whose init is primed."""
-    return {
-        FineTuneSetting.META_PRIME_AT: ("meta", {}),
-        FineTuneSetting.META_PRIME_FULLFT: ("meta", {}),
-        FineTuneSetting.FT_PRIME_AT: ("ft", {}),
-        FineTuneSetting.MAML_LOOP_PRIME_AT: ("meta", {"inner_mode": "full_maml"}),
-        FineTuneSetting.MAML_LOOP_PRIME_FULLFT: ("meta", {"inner_mode": "full_maml"}),
-        FineTuneSetting.ONE_STEP_PRIME_AT: ("meta", {"inner_steps": 1}),
-    }.get(setting)
+    """The setting's ``(kind, PrimingConfig overrides)``, None when unprimed."""
+    return setting.priming
 
 
 @dataclass
 class FineTuneHyperparams:
+    """Downstream budgets at desk scale; comments give full-scale values."""
+
     lr_full: float = 5e-5      # full fine-tuning
     lr_pe: float = 1e-3        # adapter / head tuning
-    steps: int = 300
+    steps: int = 50            # full scale: 300
     batch_size: int = 16
-    eval_every: int = 25
+    eval_every: int = 10       # full scale: 25
 
-    def lr_for(self, setting: FineTuneSetting) -> float:
-        full = Partition.PRETRAINED in trainable_partitions(setting)
-        return self.lr_full if full else self.lr_pe
+    def __post_init__(self):
+        ad.check_ranges(self, {"steps": 0, "batch_size": 1, "eval_every": 1},
+                        positive=("lr_full", "lr_pe"))
 
 
 @dataclass
@@ -100,11 +97,6 @@ class EvalReport:
 
 # --- entity-level micro F1 ------------------------------------------------
 
-def extract_spans(labels):
-    """Maximal (type, start, end) spans from a BIO label sequence."""
-    return bio_spans(labels)
-
-
 def micro_f1(gold_sequences, pred_sequences) -> EvalReport:
     """Exact-span precision/recall/F1 aggregated over the whole corpus."""
     if len(gold_sequences) != len(pred_sequences):
@@ -117,7 +109,7 @@ def micro_f1(gold_sequences, pred_sequences) -> EvalReport:
     for gold, pred in zip(gold_sequences, pred_sequences):
         if len(gold) != len(pred):
             raise ad.ContractError(f"micro_f1: length mismatch {len(gold)} vs {len(pred)}")
-        gs, ps = extract_spans(gold), extract_spans(pred)
+        gs, ps = bio_spans(gold), bio_spans(pred)
         tp += len(gs & ps)
         n_gold += len(gs)
         n_pred += len(ps)
@@ -166,17 +158,17 @@ def finetune(init_model: PartitionedModel, setting: FineTuneSetting,
     or fresh) for PE settings, absent for the adapter-free baseline. A
     fresh target head is always added here.
     """
+    if not train_data:
+        raise ValueError("finetune: empty train set")
     rng = np.random.default_rng(seed)
     model = init_model.clone()
     if TARGET_HEAD in model.head_names():
         raise ad.ContractError("init model already carries a target head")
     model.add_head(TARGET_HEAD, rng)
 
-    parts = trainable_partitions(setting)
-    model.freeze(set(Partition) - set(parts))
-    train_ids = [pid for part in parts for pid in model.registry.ids(part)]
-    optimizer = AdamW(train_ids)
-    lr = hyper.lr_for(setting)
+    model.freeze(set(Partition) - set(setting.trains))
+    optimizer = AdamW([pid for part in setting.trains for pid in model.registry.ids(part)])
+    lr = setting.lr(hyper)
 
     def evaluate():
         preds = predict_corpus(model, val_corpus, vocab)
@@ -185,19 +177,9 @@ def finetune(init_model: PartitionedModel, setting: FineTuneSetting,
     best_f1 = evaluate()
     best_snap = model.registry.snapshot()
     trace = [(0, best_f1)]
-    order = rng.permutation(len(train_data))
-    pos = 0
+    batches = minibatches(train_data, hyper.batch_size, rng)
     for step in range(1, hyper.steps + 1):
-        if pos + hyper.batch_size > len(order):
-            order = rng.permutation(len(train_data))
-            pos = 0
-        batch = [train_data[i] for i in order[pos:pos + hyper.batch_size]]
-        pos += hyper.batch_size
-        loss, leaves = model.batch_loss(batch, TARGET_HEAD)
-        if not np.isfinite(loss.data):
-            raise TrainingDiverged(step, TARGET_HEAD, float(loss.data))
-        grads = ad.grads_for(loss, leaves)
-        optimizer.step(model.registry, grads, lr)
+        adamw_step(model, [(TARGET_HEAD, next(batches))], optimizer, lr, step, "fine-tuning step")
         if step % hyper.eval_every == 0 or step == hyper.steps:
             f1 = evaluate()
             trace.append((step, f1))
@@ -212,14 +194,10 @@ def finetune(init_model: PartitionedModel, setting: FineTuneSetting,
 def evaluate_setting(model: PartitionedModel, setting: FineTuneSetting,
                      test_corpus: Corpus, vocab: Vocab, language: str,
                      seed: int) -> EvalReport:
-    preds = predict_corpus(model, test_corpus, vocab)
-    report = micro_f1([s.labels for s in test_corpus], preds)
-    report.setting = setting.value
-    report.language = language
-    report.seed = seed
-    report.trainable_fraction = float(count_trainable_fraction(
-        model.config, trainable_partitions(setting), adapter_present(setting)))
-    return report
+    report = micro_f1([s.labels for s in test_corpus], predict_corpus(model, test_corpus, vocab))
+    fraction = count_trainable_fraction(model.config, setting.trains, setting.has_adapter)
+    return replace(report, setting=setting.value, language=language, seed=seed,
+                   trainable_fraction=float(fraction))
 
 
 # --- experiment orchestration ---------------------------------------------
@@ -236,6 +214,9 @@ class PretrainConfig:
     steps: int = 300
     lr: float = 1e-3
     batch_size: int = 16
+
+    def __post_init__(self):
+        ad.check_ranges(self, {"steps": 0, "batch_size": 1}, positive=("lr",))
 
 
 @dataclass
@@ -279,21 +260,18 @@ def prepare_init(exp: Experiment, setting: FineTuneSetting, seed: int,
     per seed so settings sharing an init do not recompute it.
     """
     base = PartitionedModel(exp.model_config, seed=seed,
-                            has_adapter=adapter_present(setting))
+                            has_adapter=setting.has_adapter)
     for pid, arr in pretrained_encoder(exp, seed, primed_cache).items():
         base.registry[pid].value.data = arr.copy()
-    recipe = priming_recipe(setting)
-    if recipe is None:
+    if setting.priming is None:
         return base
-    kind, overrides = recipe
+    kind, overrides = setting.priming
     key = (kind, tuple(sorted(overrides.items())), seed)
     if primed_cache is not None and key in primed_cache:
         return primed_cache[key]
-    cfg_kwargs = {**asdict(exp.priming), **overrides, "seed": seed}
-    cfg = PrimingConfig(**cfg_kwargs)
+    cfg = PrimingConfig(**{**asdict(exp.priming), **overrides, "seed": seed})
     runner = prime if kind == "meta" else ft_prime
-    primed = runner(base, exp.meta_tasks, cfg)
-    primed = strip_heads(primed)
+    primed = strip_heads(runner(base, exp.meta_tasks, cfg))
     if primed_cache is not None:
         primed_cache[key] = primed
     return primed
@@ -304,7 +282,7 @@ def strip_heads(model: PartitionedModel) -> PartitionedModel:
     reg = ad.ParameterRegistry()
     for p in model.registry:
         if p.partition is not Partition.HEAD:
-            reg.add(p.id, p.value.data.copy(), p.partition, p.trainable)
+            reg.add(p.id, p.value.data.copy(), p.partition)
     return PartitionedModel(model.config, has_adapter=model.has_adapter, registry=reg)
 
 

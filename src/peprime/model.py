@@ -48,6 +48,9 @@ NEG_INF = -1e9
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Transformer and adapter sizes; the defaults are the desk scale, small
+    enough that a full finite-difference check finishes in seconds."""
+
     vocab_size: int
     d_model: int = 32
     n_layers: int = 2
@@ -60,23 +63,15 @@ class ModelConfig:
     adapter_residual: bool = True
 
     def __post_init__(self):
+        ad.check_ranges(self, {"d_model": 1, "n_layers": 1, "n_heads": 1, "d_ff": 1,
+                               "max_seq_len": 1, "n_labels": 2, "adapter_bottleneck": 1})
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.adapter_bottleneck < 1:
-            raise ValueError("adapter_bottleneck must be >= 1")
-        if self.n_labels < 2:
-            raise ValueError("n_labels must be >= 2")
         if self.adapter_nonlinearity not in ("relu", "gelu"):
             raise ValueError(f"unknown adapter nonlinearity {self.adapter_nonlinearity!r}")
 
     def hash(self) -> str:
         return ad.stable_hash(asdict(self))
-
-
-def desk_config(vocab_size: int, n_labels: int = 7) -> ModelConfig:
-    """Small enough that full finite-difference checks finish in seconds."""
-    return ModelConfig(vocab_size=vocab_size, d_model=32, n_layers=2, n_heads=2,
-                       d_ff=64, max_seq_len=32, n_labels=n_labels, adapter_bottleneck=8)
 
 
 class PartitionedModel:
@@ -338,17 +333,15 @@ def head_param_count(c: ModelConfig) -> int:
     return c.d_model * c.n_labels + c.n_labels
 
 
-def count_trainable_fraction(config: ModelConfig, trainable_partitions,
-                             adapter_present: bool = True) -> Fraction:
-    """Exact trainable/total parameter ratio for one fine-tuning setting."""
+def count_trainable_fraction(config: ModelConfig, partitions,
+                             has_adapter: bool = True) -> Fraction:
+    """Exact ratio of the parameters in ``partitions`` to all parameters of a model."""
     counts = {
         Partition.PRETRAINED: encoder_param_count(config),
-        Partition.LIGHTWEIGHT: adapter_param_count(config) if adapter_present else 0,
+        Partition.LIGHTWEIGHT: adapter_param_count(config) if has_adapter else 0,
         Partition.HEAD: head_param_count(config),
     }
-    total = sum(counts.values())
-    trainable = sum(counts[p] for p in trainable_partitions)
-    return Fraction(trainable, total)
+    return Fraction(sum(counts[p] for p in partitions), sum(counts.values()))
 
 
 def format_fraction_percent(frac: Fraction) -> str:

@@ -26,36 +26,40 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Partition
+from .data import sample_batch
 from .model import PartitionedModel
 
-PRIMED_PARTITIONS = (Partition.PRETRAINED, Partition.LIGHTWEIGHT)
 SHARED_HEAD = "shared"
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, step, task_id, loss):
+    def __init__(self, step, task_id, loss, loop="outer step"):
         self.step, self.task_id, self.loss = step, task_id, loss
-        super().__init__(f"non-finite loss {loss} at outer step {step}, task {task_id!r}")
+        super().__init__(f"non-finite loss {loss} at {loop} {step}, task {task_id!r}")
 
 
 @dataclass
 class PrimingConfig:
+    """Priming budgets and rates at desk scale; comments give full-scale values.
+
+    The full-scale beta does not move a model this small within a sane step budget.
+    """
+
     alpha: float = 0.03            # inner SGD lr when simulating PE fine-tuning
-    beta: float = 5e-5             # outer AdamW lr, linearly decayed to 0
+    beta: float = 5e-4             # outer AdamW lr, decayed linearly to 0; full scale: 5e-5
     inner_steps: int = 5
     inner_mode: str = "pe_sim"     # pe_sim | full_maml
     alpha_full: float = 1e-4       # inner lr (all partitions) in full_maml mode
     tasks_per_outer_batch: int = 2
-    outer_steps: int = 200
+    outer_steps: int = 400         # full scale: 200
     support_batch_size: int = 8
-    query_batch_size: int = 16
+    query_batch_size: int = 32     # full scale: 16
     seed: int = 0
 
     def __post_init__(self):
-        if self.inner_steps < 0 or self.outer_steps < 0:
-            raise ValueError("step counts must be non-negative")
-        if min(self.alpha, self.beta, self.alpha_full) <= 0:
-            raise ValueError("learning rates must be positive")
+        ad.check_ranges(self, {"inner_steps": 0, "outer_steps": 0, "tasks_per_outer_batch": 1,
+                               "support_batch_size": 1, "query_batch_size": 1},
+                        positive=("alpha", "beta", "alpha_full"))
         if self.inner_mode not in ("pe_sim", "full_maml"):
             raise ValueError(f"unknown inner_mode {self.inner_mode!r}")
 
@@ -93,6 +97,26 @@ class AdamW:
             theta = registry[pid].value.data
             theta -= lr * self.weight_decay * theta
             theta -= lr * (self.m[pid] / b1c) / (np.sqrt(self.v[pid] / b2c) + self.eps)
+
+
+def adamw_step(model: PartitionedModel, batches, optimizer: AdamW, lr: float,
+               step: int, loop: str = "outer step") -> list:
+    """One AdamW step on the gradients summed over ``(head, batch)`` pairs.
+
+    A non-finite batch loss raises ``TrainingDiverged`` naming ``loop`` and
+    ``step``. Returns the batch losses in order.
+    """
+    grads: dict = {}
+    losses = []
+    for head, batch in batches:
+        loss, leaves = model.batch_loss(batch, head)
+        if not np.isfinite(loss.data):
+            raise TrainingDiverged(step, head, float(loss.data), loop)
+        for pid, g in ad.grads_for(loss, leaves).items():
+            grads[pid] = grads[pid] + g if pid in grads else g
+        losses.append(float(loss.data))
+    optimizer.step(model.registry, grads, lr)
+    return losses
 
 
 def sgd_step(registry: ad.ParameterRegistry, grads: dict, param_ids, lr: float):
@@ -173,11 +197,8 @@ def outer_step(model: PartitionedModel, tasks, cfg: PrimingConfig, optimizer: Ad
             "task_id": task.task_id,
             "support_loss_per_inner_step": [round(x, 6) for x in inner.support_losses],
             "query_loss": round(float(loss.data), 6),
-            "grad_norms": {
-                "pretrained": round(_partition_norm(grads, model.registry, Partition.PRETRAINED), 6),
-                "lightweight": round(_partition_norm(grads, model.registry, Partition.LIGHTWEIGHT), 6),
-                "head": round(_partition_norm(grads, model.registry, Partition.HEAD), 6),
-            },
+            "grad_norms": {part.value: round(_partition_norm(grads, model.registry, part), 6)
+                           for part in Partition},
             "beta_current": lr,
         })
     optimizer.step(model.registry, meta_grads, lr)
@@ -229,38 +250,20 @@ def ft_prime(model: PartitionedModel, meta_tasks, cfg: PrimingConfig,
         raise ValueError("ft_prime: need at least one source task")
     rng = np.random.default_rng(cfg.seed)
     model = model.clone()
-    pooled = []
     for task in meta_tasks:
         if task.task_id not in model.head_names():
             model.add_head(task.task_id, rng)
-        pooled.append(_PooledTask(task.task_id, task.support + task.query))
+    pooled = [(task.task_id, task.support + task.query) for task in meta_tasks]
     optimizer = AdamW([p.id for p in model.registry])
     for step in range(cfg.outer_steps):
         k = min(cfg.tasks_per_outer_batch, len(meta_tasks))
-        picks = rng.choice(len(pooled), size=k, replace=False)
-        grads: dict = {}
-        for i in picks:
-            task = pooled[i]
-            batch = task.sample(cfg.support_batch_size, rng)
-            loss, leaves = model.batch_loss(batch, task.task_id)
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(step, task.task_id, float(loss.data))
-            for pid, g in ad.grads_for(loss, leaves).items():
-                grads[pid] = grads.get(pid, 0.0) + g
-            if log is not None:
-                log.append({"outer_step": step, "task_id": task.task_id,
-                            "support_loss_per_inner_step": [],
-                            "query_loss": round(float(loss.data), 6),
-                            "beta_current": cfg.lr_at(step)})
-        optimizer.step(model.registry, grads, cfg.lr_at(step))
+        picks = [pooled[i] for i in rng.choice(len(pooled), size=k, replace=False)]
+        batches = [(head, sample_batch(data, cfg.support_batch_size, rng)) for head, data in picks]
+        losses = adamw_step(model, batches, optimizer, cfg.lr_at(step), step)
+        if log is not None:
+            log.extend({"outer_step": step, "task_id": head,
+                        "support_loss_per_inner_step": [],
+                        "query_loss": round(loss, 6),
+                        "beta_current": cfg.lr_at(step)}
+                       for (head, _), loss in zip(batches, losses))
     return model
-
-
-@dataclass
-class _PooledTask:
-    task_id: str
-    data: list
-
-    def sample(self, batch_size, rng):
-        idx = rng.choice(len(self.data), size=min(batch_size, len(self.data)), replace=False)
-        return [self.data[i] for i in idx]

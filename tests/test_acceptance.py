@@ -22,13 +22,12 @@ from peprime.cli import DEFAULT_CONFIG, build_experiment
 from peprime.finetune import (
     FineTuneSetting,
     FineTuneHyperparams,
-    extract_spans,
     finetune,
     micro_f1,
     run_setting,
 )
 from peprime.model import ModelConfig, PartitionedModel, count_trainable_fraction, \
-    desk_config, format_fraction_percent
+    format_fraction_percent
 from peprime.priming import AdamW, PrimingConfig, SHARED_HEAD, inner_adapt, prime
 
 
@@ -66,7 +65,7 @@ def registry_bytes(registry, partition=None):
 
 def test_criterion_1_gradient_soundness():
     t0 = time.time()
-    model = PartitionedModel(desk_config(vocab_size=64), seed=5)
+    model = PartitionedModel(ModelConfig(vocab_size=64), seed=5)
     model.add_head("t", np.random.default_rng(11))
     rng = np.random.default_rng(12)
     batch = [(rng.integers(2, 64, 6), rng.integers(0, 7, 6))]
@@ -199,7 +198,7 @@ def test_criterion_5_f1_oracle():
         n = int(rng.integers(1, 14))
         gold, pred = random_bio(rng, n), random_bio(rng, n)
         gs, ps = brute_force_spans(gold), brute_force_spans(pred)
-        exact = exact and extract_spans(gold) == gs and extract_spans(pred) == ps
+        exact = exact and D.bio_spans(gold) == gs and D.bio_spans(pred) == ps
         gold_corpus.append(gold)
         pred_corpus.append(pred)
         tp += len(gs & ps)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from peprime import autodiff as ad
 from peprime.autodiff import Partition, Var
-from peprime.model import PartitionedModel, desk_config
+from peprime.model import ModelConfig, PartitionedModel
 
 
 def quadratic_loss(w):
@@ -211,7 +211,7 @@ class TestPrunedBackward:
     ], ids=["encoder", "encoder+adapter"])
     def test_desk_model_pruned_grads_match_full_backward(self, frozen):
         # the slow path: build the whole graph with every leaf trainable
-        model = PartitionedModel(desk_config(60), seed=0)
+        model = PartitionedModel(ModelConfig(vocab_size=60), seed=0)
         model.add_head("t", np.random.default_rng(1))
         rng = np.random.default_rng(2)
         batch = []
@@ -326,7 +326,7 @@ class TestNoTape:
         assert out._parents == () and out._backward is None
 
     def test_no_grad_forward_of_the_model_keeps_no_tape(self):
-        model = PartitionedModel(desk_config(60), seed=0)
+        model = PartitionedModel(ModelConfig(vocab_size=60), seed=0)
         model.add_head("t", np.random.default_rng(1))
         seen = []
         matmul = ad.matmul

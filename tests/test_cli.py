@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,32 +7,38 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peprime import autodiff as ad
 from peprime import cli
-from peprime.model import PartitionedModel
+from peprime.data import SplitSpec
+from peprime.finetune import FineTuneHyperparams, PretrainConfig
+from peprime.model import ModelConfig, PartitionedModel
+from peprime.priming import PrimingConfig
+
+
+TINY_CONFIG = {
+    "model": {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 12,
+              "max_seq_len": 32, "adapter_bottleneck": 4},
+    "priming": {"outer_steps": 2, "inner_steps": 2, "beta": 1e-3,
+                "support_batch_size": 4, "query_batch_size": 4},
+    "finetune": {"steps": 5, "batch_size": 4, "eval_every": 5},
+    "data": {
+        "synthetic": {"sources": ["sa", "sb"], "targets": ["ta"],
+                      "n_sentences_source": 80, "n_sentences_target": 80,
+                      "entity_rate": 0.3, "mean_sentence_length": 8.0,
+                      "family_seed": 3},
+        "split": {"support_size": 30, "query_size": 30,
+                  "train_size": 40, "val_size": 20, "test_size": 20},
+    },
+    "seeds": [0],
+}
 
 
 @pytest.fixture()
 def tiny_config(tmp_path):
-    cfg = {
-        "model": {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 12,
-                  "max_seq_len": 32, "adapter_bottleneck": 4},
-        "priming": {"outer_steps": 2, "inner_steps": 2, "beta": 1e-3,
-                    "support_batch_size": 4, "query_batch_size": 4},
-        "finetune": {"steps": 5, "batch_size": 4, "eval_every": 5},
-        "data": {
-            "synthetic": {"sources": ["sa", "sb"], "targets": ["ta"],
-                          "n_sentences_source": 80, "n_sentences_target": 80,
-                          "entity_rate": 0.3, "mean_sentence_length": 8.0,
-                          "family_seed": 3},
-            "split": {"support_size": 30, "query_size": 30,
-                      "train_size": 40, "val_size": 20, "test_size": 20},
-        },
-        "seeds": [0],
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(TINY_CONFIG))
     return path
 
 
@@ -75,6 +82,109 @@ class TestConfig:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and key in err["message"]
+
+    @pytest.mark.parametrize("edit,key", [
+        (lambda c: c["finetune"].update(steps="4"), "finetune.steps"),
+        (lambda c: c["finetune"].update(steps=True), "finetune.steps"),
+        (lambda c: c["model"].update(d_model="8"), "model.d_model"),
+        (lambda c: c.update(seeds=["a"]), "seeds[0]"),
+        (lambda c: c.update(seeds=[]), "seeds must not be empty"),
+        (lambda c: c.update(model=3), "model must be dict"),
+        (lambda c: c["finetune"].update(eval_every=0), "finetune: eval_every"),
+        (lambda c: c["finetune"].update(batch_size=0), "finetune: batch_size"),
+        (lambda c: c.update(pretrain={"batch_size": 0}), "pretrain: batch_size"),
+        (lambda c: c["data"]["split"].update(train_size=0), "data.split: train_size"),
+        (lambda c: c["finetune"].update(steps=-3), "finetune: steps"),
+        (lambda c: c["model"].update(n_heads=0), "model: n_heads"),
+        (lambda c: c["model"].update(n_labels=3), "model.n_labels must be 7"),
+    ], ids=["str_for_int", "bool_for_int", "str_for_model_int", "str_seed", "no_seeds",
+            "int_for_section", "eval_every_0", "batch_size_0", "pretrain_batch_size_0",
+            "train_size_0", "negative_steps", "n_heads_0", "n_labels_3"])
+    def test_bad_values_fail_cleanly(self, tiny_config, tmp_path, capsys, edit, key):
+        cfg = json.loads(tiny_config.read_text())
+        edit(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        rc = run(["finetune", "--config", path, "--out", tmp_path / "o",
+                  "--setting", "head_tuning", "--language", "ta"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and key in err["message"]
+
+    def test_config_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        with pytest.raises(cli.ConfigError, match="must be dict"):
+            cli.load_config(path)
+
+    def test_int_accepted_where_float_expected(self, tiny_config, tmp_path):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["finetune"]["lr_pe"] = 1
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.build_experiment(cli.load_config(path)).hyper.lr_pe == 1
+
+    def test_run_config_round_trips(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        assert run(["generate-data", "--config", tiny_config, "--out", out]) == 0
+        assert cli.load_config(out / "run_config.json") == cli.load_config(tiny_config)
+        defaults = tmp_path / "defaults.json"
+        defaults.write_text(json.dumps(cli.DEFAULT_CONFIG))
+        assert cli.load_config(defaults) == cli.DEFAULT_CONFIG
+
+    def test_defaults_come_from_the_dataclasses(self):
+        sections = {"model": ModelConfig(vocab_size=1), "priming": PrimingConfig(),
+                    "finetune": FineTuneHyperparams(), "pretrain": PretrainConfig()}
+        for name, obj in sections.items():
+            assert all(getattr(obj, k) == v for k, v in cli.DEFAULT_CONFIG[name].items()), name
+        assert cli.DEFAULT_CONFIG["data"]["split"] == dataclasses.asdict(SplitSpec())
+
+
+def _leaves(tree, path=()):
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, tree
+
+
+WRONG_TYPES = [None, "1", 1, 1.5, True, [1], {"a": 1}]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_one_bad_leaf_builds_or_fails_cleanly(self, tmp_path_factory, data):
+        """Perturb one leaf of the tiny config: the config builds or is rejected cleanly."""
+        cfg = json.loads(json.dumps(TINY_CONFIG))
+        path, value = data.draw(st.sampled_from(list(_leaves(cfg))), label="leaf")
+        *parents, last = path
+        parent = cfg
+        for key in parents:
+            parent = parent[key]
+        kinds = ["wrong_type", "unknown_key"]
+        if type(value) in (int, float):
+            kinds += ["zero", "negative"]
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        if kind == "wrong_type":
+            parent[last] = data.draw(st.sampled_from(
+                [w for w in WRONG_TYPES if type(w) is not type(value)
+                 and not (type(value) is float and type(w) is int)]), label="value")
+        elif kind == "zero":
+            parent[last] = type(value)(0)
+        elif kind == "negative":
+            parent[last] = -abs(value) if value else type(value)(-1)
+        else:
+            (parent if isinstance(parent, dict) else cfg)["unknown_key"] = 1
+        out = tmp_path_factory.mktemp("fuzz") / "config.json"
+        out.write_text(json.dumps(cfg))
+        try:
+            cli.build_experiment(cli.load_config(out))
+        except ValueError:      # ConfigError is a ValueError
+            pass
 
 
 class TestLongSentences:
@@ -122,6 +232,16 @@ class TestPrime:
         assert len(lines) == 2 * 2  # outer_steps x tasks_per_batch
         rec = json.loads(lines[0])
         assert rec["outer_step"] == 0 and "query_loss" in rec
+
+    @pytest.mark.parametrize("config,out,error", [
+        ("dir", "new", "IsADirectoryError"), ("tiny", "file", "FileExistsError"),
+    ], ids=["config_is_a_directory", "out_is_a_file"])
+    def test_bad_paths_fail_cleanly(self, tiny_config, tmp_path, capsys, config, out, error):
+        (tmp_path / "file").write_text("")
+        rc = run(["prime", "--config", tiny_config if config == "tiny" else tmp_path,
+                  "--out", tmp_path / out])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
 
     def test_missing_checkpoint_fails_cleanly(self, tiny_config, tmp_path, capsys):
         rc = run(["prime", "--config", tiny_config, "--out", tmp_path / "o",
@@ -182,11 +302,40 @@ class TestFinetuneCommand:
         assert (outs[0] / "report.jsonl").read_bytes() == (outs[1] / "report.jsonl").read_bytes()
         assert (outs[0] / "finetuned.ckpt").read_bytes() == (outs[1] / "finetuned.ckpt").read_bytes()
 
-    def test_unknown_language_fails(self, tiny_config, tmp_path, capsys):
-        rc = run(["finetune", "--config", tiny_config, "--out", tmp_path / "o",
-                  "--setting", "adapter_tuning", "--language", "xx"])
+    @pytest.mark.parametrize("command", [
+        ["finetune"], ["evaluate", "--init-checkpoint", "missing.ckpt"],
+    ], ids=["finetune", "evaluate"])
+    def test_unknown_language_fails(self, tiny_config, tmp_path, capsys, command):
+        rc = run(command + ["--config", tiny_config, "--out", tmp_path / "o",
+                            "--setting", "adapter_tuning", "--language", "xx"])
         assert rc == 1
-        assert "unknown target language" in json.loads(capsys.readouterr().err)["message"]
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "unknown target language" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["finetune", "--language", "ta"],
+        ["evaluate", "--language", "ta", "--init-checkpoint", "x.ckpt"],
+        ["evaluate", "--language", "ta", "--setting", "full_ft"],
+    ], ids=["finetune_setting", "evaluate_setting", "evaluate_checkpoint"])
+    def test_missing_flag_is_a_usage_error(self, tiny_config, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--config", tiny_config, "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_finetuning_names_its_loop(self, tiny_config, tmp_path, capsys):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["finetune"]["lr_pe"] = 1e300
+        cfg["pretrain"] = {"steps": 0}
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(cfg))
+        rc = run(["finetune", "--config", path, "--out", tmp_path / "o",
+                  "--setting", "adapter_tuning", "--language", "ta"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "TrainingDiverged"
+        assert "fine-tuning step" in err["message"] and "outer step" not in err["message"]
 
     def test_contract_error_fails_cleanly(self, tiny_config, tmp_path, capsys):
         exp = cli.build_experiment(cli.load_config(tiny_config))

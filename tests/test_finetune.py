@@ -8,13 +8,11 @@ from peprime.finetune import (
     TARGET_HEAD,
     FineTuneHyperparams,
     FineTuneSetting,
-    adapter_present,
     evaluate_setting,
-    extract_spans,
     finetune,
     micro_f1,
     predict_corpus,
-    trainable_partitions,
+    priming_recipe,
 )
 from peprime.model import PartitionedModel, ModelConfig, count_trainable_fraction
 from peprime.priming import AdamW
@@ -49,20 +47,20 @@ def random_bio(rng, n):
 
 class TestSpans:
     def test_all_outside(self):
-        assert extract_spans(["O", "O", "O"]) == set()
+        assert D.bio_spans(["O", "O", "O"]) == set()
 
     def test_hand_enumerated(self):
-        assert extract_spans(["B-PER", "I-PER", "O", "B-LOC"]) == {
+        assert D.bio_spans(["B-PER", "I-PER", "O", "B-LOC"]) == {
             ("PER", 0, 2), ("LOC", 3, 4)}
 
     def test_adjacent_begins(self):
-        assert extract_spans(["B-PER", "B-PER"]) == {("PER", 0, 1), ("PER", 1, 2)}
+        assert D.bio_spans(["B-PER", "B-PER"]) == {("PER", 0, 1), ("PER", 1, 2)}
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             labels = random_bio(rng, int(rng.integers(1, 15)))
-            assert extract_spans(labels) == brute_force_spans(labels), labels
+            assert D.bio_spans(labels) == brute_force_spans(labels), labels
 
 
 class TestMicroF1:
@@ -122,26 +120,37 @@ class TestMicroF1:
 
 class TestSettings:
     def test_partition_mapping(self):
-        assert trainable_partitions(FineTuneSetting.FULL_FT) == (
-            Partition.PRETRAINED, Partition.HEAD)
-        assert trainable_partitions(FineTuneSetting.HEAD_TUNING) == (Partition.HEAD,)
+        assert FineTuneSetting.FULL_FT.trains == (Partition.PRETRAINED, Partition.HEAD)
+        assert FineTuneSetting.HEAD_TUNING.trains == (Partition.HEAD,)
         for s in (FineTuneSetting.ADAPTER_TUNING, FineTuneSetting.META_PRIME_AT,
                   FineTuneSetting.FT_PRIME_AT, FineTuneSetting.MAML_LOOP_PRIME_AT,
                   FineTuneSetting.ONE_STEP_PRIME_AT):
-            assert trainable_partitions(s) == (Partition.LIGHTWEIGHT, Partition.HEAD)
+            assert s.trains == (Partition.LIGHTWEIGHT, Partition.HEAD)
         for s in (FineTuneSetting.META_PRIME_FULLFT, FineTuneSetting.MAML_LOOP_PRIME_FULLFT):
-            assert Partition.LIGHTWEIGHT in trainable_partitions(s)
+            assert Partition.LIGHTWEIGHT in s.trains
 
     def test_adapter_absent_only_in_plain_full_ft(self):
         for s in FineTuneSetting:
-            expected = s not in (FineTuneSetting.FULL_FT, FineTuneSetting.NOPRIME_FULLFT)
-            assert adapter_present(s) == expected
+            assert s.has_adapter == (s is not FineTuneSetting.FULL_FT)
 
     def test_lr_selection(self):
         hyper = FineTuneHyperparams(lr_full=1e-4, lr_pe=1e-2)
-        assert hyper.lr_for(FineTuneSetting.FULL_FT) == 1e-4
-        assert hyper.lr_for(FineTuneSetting.ADAPTER_TUNING) == 1e-2
-        assert hyper.lr_for(FineTuneSetting.HEAD_TUNING) == 1e-2
+        assert FineTuneSetting.FULL_FT.lr(hyper) == 1e-4
+        assert FineTuneSetting.ADAPTER_TUNING.lr(hyper) == 1e-2
+        assert FineTuneSetting.HEAD_TUNING.lr(hyper) == 1e-2
+        assert FineTuneSetting.META_PRIME_FULLFT.lr(hyper) == 1e-4
+
+    def test_priming_recipes(self):
+        full_loop = ("meta", {"inner_mode": "full_maml"})
+        assert {s.value: priming_recipe(s) for s in FineTuneSetting} == {
+            "full_ft": None, "head_tuning": None, "adapter_tuning": None,
+            "meta_prime_at": ("meta", {}), "ft_prime_at": ("ft", {}),
+            "maml_loop_prime_at": full_loop, "one_step_prime_at": ("meta", {"inner_steps": 1}),
+            "meta_prime_fullft": ("meta", {}), "maml_loop_prime_fullft": full_loop}
+
+    def test_lookup_by_name(self):
+        for s in FineTuneSetting:
+            assert FineTuneSetting(s.value) is s
 
 
 def tiny_setup():
@@ -160,7 +169,7 @@ def reference_finetune(init, setting, train, val, vocab, hyper, seed):
     rng = np.random.default_rng(seed)
     model = init.clone()
     model.add_head(TARGET_HEAD, rng)
-    ids = [pid for part in trainable_partitions(setting) for pid in model.registry.ids(part)]
+    ids = [pid for part in setting.trains for pid in model.registry.ids(part)]
     optimizer = AdamW(ids)
 
     def evaluate():
@@ -176,7 +185,7 @@ def reference_finetune(init, setting, train, val, vocab, hyper, seed):
         batch = [train[i] for i in order[pos:pos + hyper.batch_size]]
         pos += hyper.batch_size
         loss, leaves = model.batch_loss(batch, TARGET_HEAD)
-        optimizer.step(model.registry, ad.grads_for(loss, leaves), hyper.lr_for(setting))
+        optimizer.step(model.registry, ad.grads_for(loss, leaves), setting.lr(hyper))
         if step % hyper.eval_every == 0 or step == hyper.steps:
             f1 = evaluate()
             trace.append((step, f1))
@@ -261,6 +270,12 @@ class TestFinetune:
             finetune(init, FineTuneSetting.ADAPTER_TUNING, train, val, vocab,
                      FineTuneHyperparams(steps=1))
 
+    def test_empty_train_set_rejected(self):
+        cfg, vocab, _, val, _ = tiny_setup()
+        with pytest.raises(ValueError, match="empty train set"):
+            finetune(PartitionedModel(cfg, seed=0), FineTuneSetting.HEAD_TUNING, [], val, vocab,
+                     FineTuneHyperparams(steps=1))
+
     def test_report_fraction_matches_counting(self):
         cfg, vocab, train, val, test = tiny_setup()
         init = PartitionedModel(cfg, seed=0)
@@ -268,6 +283,6 @@ class TestFinetune:
         result = finetune(init, FineTuneSetting.HEAD_TUNING, train, val, vocab, hyper)
         rep = evaluate_setting(result.model, FineTuneSetting.HEAD_TUNING, test,
                                vocab, "t", 0)
-        expected = count_trainable_fraction(cfg, (Partition.HEAD,), adapter_present=True)
+        expected = count_trainable_fraction(cfg, (Partition.HEAD,), has_adapter=True)
         assert rep.trainable_fraction == float(expected)
         assert rep.setting == "head_tuning"

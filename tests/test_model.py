@@ -7,7 +7,6 @@ from peprime.model import (
     ModelConfig,
     PartitionedModel,
     count_trainable_fraction,
-    desk_config,
     format_fraction_percent,
     pad_rows,
 )
@@ -20,7 +19,7 @@ MBERT_LIKE = ModelConfig(vocab_size=119547, d_model=768, n_layers=12, n_heads=12
 
 @pytest.fixture(scope="module")
 def small_model():
-    m = PartitionedModel(desk_config(60), seed=0)
+    m = PartitionedModel(ModelConfig(vocab_size=60), seed=0)
     m.add_head("t", np.random.default_rng(1))
     return m
 
@@ -35,7 +34,7 @@ class TestConfig:
             ModelConfig(vocab_size=10, n_labels=1)
 
     def test_hash_depends_on_fields(self):
-        a = desk_config(100)
+        a = ModelConfig(vocab_size=100)
         b = ModelConfig(vocab_size=101, d_model=32, n_layers=2, n_heads=2,
                         d_ff=64, max_seq_len=32, adapter_bottleneck=8)
         assert a.hash() != b.hash()
@@ -58,7 +57,7 @@ class TestPartitions:
         assert not set(reg.ids(Partition.LIGHTWEIGHT)) & set(reg.ids(Partition.PRETRAINED))
 
     def test_adapter_free_model_has_no_lightweight(self):
-        m = PartitionedModel(desk_config(60), seed=0, has_adapter=False)
+        m = PartitionedModel(ModelConfig(vocab_size=60), seed=0, has_adapter=False)
         assert m.registry.ids(Partition.LIGHTWEIGHT) == []
 
 
@@ -70,7 +69,7 @@ class TestEncode:
         assert out.data.shape == (5, small_model.config.d_model)
 
     def test_all_zero_weights_give_equal_rows(self):
-        m = PartitionedModel(desk_config(20), seed=0)
+        m = PartitionedModel(ModelConfig(vocab_size=20), seed=0)
         for p in m.registry:
             if p.id.endswith(".g"):
                 p.value.data = np.ones_like(p.value.data)
@@ -109,7 +108,7 @@ class TestAdapter:
             model.registry[pid].value.data[:] = 0.0
 
     def test_zero_adapter_with_residual_is_identity(self):
-        m = PartitionedModel(desk_config(20), seed=0)
+        m = PartitionedModel(ModelConfig(vocab_size=20), seed=0)
         self.zero_adapter(m)
         h = np.random.default_rng(0).normal(size=(4, m.config.d_model))
         out = m.adapt(Var(h), m.registry.leaf_vars())
@@ -142,7 +141,7 @@ class TestAdapter:
             small_model.adapt(Var(np.zeros((3, 5))), small_model.registry.leaf_vars())
 
     def test_identity_adapter_matches_adapter_free_logits(self):
-        cfg = desk_config(40)
+        cfg = ModelConfig(vocab_size=40)
         with_adapter = PartitionedModel(cfg, seed=5)
         without = PartitionedModel(cfg, seed=5, has_adapter=False)
         for pid in with_adapter.registry.ids(Partition.LIGHTWEIGHT):
@@ -166,7 +165,7 @@ class TestClassify:
         assert float(loss.data) == pytest.approx(np.log(m.config.n_labels), abs=1e-12)
 
     def test_bio_label_scheme_width(self):
-        m = PartitionedModel(desk_config(30, n_labels=7), seed=0)
+        m = PartitionedModel(ModelConfig(vocab_size=30), seed=0)
         m.add_head("t", np.random.default_rng(0))
         lg, _ = m.logits(np.array([2, 3]), np.ones(2, bool), "t")
         assert lg.data.shape == (2, 7)
@@ -190,7 +189,7 @@ class TestClassify:
 
 
 def fresh_model():
-    m = PartitionedModel(desk_config(60), seed=0)
+    m = PartitionedModel(ModelConfig(vocab_size=60), seed=0)
     m.add_head("t", np.random.default_rng(1))
     return m
 
@@ -406,7 +405,7 @@ class TestTrainableFraction:
         assert format_fraction_percent(frac) == "100%"
 
     def test_fraction_matches_instantiated_registry(self):
-        cfg = desk_config(60)
+        cfg = ModelConfig(vocab_size=60)
         m = PartitionedModel(cfg, seed=0)
         m.add_head("t", np.random.default_rng(0))
         reg = m.registry
