@@ -32,6 +32,18 @@ on; only leaves keep theirs.
 
 ``grads_for`` returns an entry for every leaf that requires a gradient
 (all zeros when the leaf is off the loss's tape) and none for the others.
+
+Gradient ownership: a node keeps the first gradient it receives by
+reference and sums each later one into a new array, so one gradient array
+may be shared between nodes (``add`` hands the same array to both
+operands; ``transpose`` and ``concat_cols`` pass views). A gradient array
+is therefore never written in place: a backward that needs a buffer
+(``slice_cols``, ``embedding``) allocates its own and passes it on.
+Forward kernels write in place only into arrays they allocated.
+
+``linear(x, w, b)`` is ``add(matmul(x, w), b)`` as one node, with the
+same forward and backward operations, so the result is the same bit for
+bit; the model's projections use it.
 """
 
 from __future__ import annotations
@@ -95,27 +107,9 @@ class Var:
             self._parents = ()
             self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def _accum(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
+        """Take ``g`` by reference if it is the first gradient, else sum into a new array."""
+        self.grad = g if self.grad is None else self.grad + g
 
 
 def _sum_leading(g):
@@ -175,6 +169,28 @@ def matmul(a: Var, b: Var) -> Var:
     return Var(x @ w, (a, b), bwd)
 
 
+def linear(x: Var, w: Var, b: Var) -> Var:
+    """``x @ w + b`` as one node: ``[..., m, k] @ [k, n]`` plus a 1-d bias of width n.
+
+    The values and gradients are those of ``add(matmul(x, w), b)``, bit for bit.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
+        raise ShapeMismatchError("linear", xd.shape, wd.shape, b.data.shape)
+    out = xd @ wd
+    out += b.data
+
+    def bwd(g):
+        if b.requires_grad:
+            b._accum(_sum_leading(g))
+        if x.requires_grad:
+            x._accum(g @ wd.T)
+        if w.requires_grad:
+            w._accum(xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+
+    return Var(out, (x, w, b), bwd)
+
+
 def transpose(a: Var) -> Var:
     """Swap the last two axes."""
     if a.data.ndim < 2:
@@ -189,9 +205,9 @@ def slice_cols(a: Var, lo: int, hi: int) -> Var:
         raise ShapeMismatchError("slice_cols", a.data.shape, (lo, hi))
 
     def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[..., lo:hi] += g
+        full = np.zeros_like(a.data)
+        full[..., lo:hi] = g
+        a._accum(full)
 
     return Var(a.data[..., lo:hi], (a,), bwd)
 
@@ -220,13 +236,23 @@ def relu(a: Var) -> Var:
 
 def gelu(a: Var) -> Var:
     # exact erf form; backward uses d/dx [x*Phi(x)] = Phi(x) + x*phi(x)
-    phi_cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    x = a.data
+    phi_cdf = x * _INV_SQRT2
+    erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
 
     def bwd(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-        a._accum(g * (phi_cdf + a.data * pdf))
+        d = x * -0.5
+        d *= x
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI        # phi(x)
+        d *= x
+        d += phi_cdf
+        d *= g
+        a._accum(d)
 
-    return Var(a.data * phi_cdf, (a,), bwd)
+    return Var(x * phi_cdf, (a,), bwd)
 
 
 def sum_all(a: Var) -> Var:
@@ -244,9 +270,9 @@ def embedding(table: Var, ids) -> Var:
         )
 
     def bwd(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
+        rows = np.zeros_like(table.data)
+        np.add.at(rows, ids, g)
+        table._accum(rows)
 
     return Var(table.data[ids], (table,), bwd)
 
@@ -259,13 +285,19 @@ def softmax_rows(a: Var, additive_mask=None) -> Var:
     """
     if a.data.ndim < 2:
         raise ShapeMismatchError("softmax", a.data.shape)
-    z = a.data if additive_mask is None else a.data + additive_mask
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    if additive_mask is None:
+        s = a.data - a.data.max(axis=-1, keepdims=True)
+    else:
+        s = a.data + additive_mask
+        s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        a._accum(s * (g - (g * s).sum(axis=-1, keepdims=True)))
+        d = g * s
+        d = g - d.sum(axis=-1, keepdims=True)
+        d *= s
+        a._accum(d)
 
     return Var(s, (a,), bwd)
 
@@ -275,11 +307,18 @@ def layer_norm(x: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
     width = x.data.shape[-1:]
     if x.data.ndim < 2 or gain.data.shape != width or bias.data.shape != width:
         raise ShapeMismatchError("layer_norm", x.data.shape, gain.data.shape, bias.data.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    n = width[0]
+    # every mean is ndarray.mean's own sum(axis=-1) / n, without its Python wrapper
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= n
+    xhat = x.data - mu
+    sq = xhat * xhat
+    inv = sq.sum(axis=-1, keepdims=True)
+    inv /= n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
 
     def bwd(g):
         if gain.requires_grad:
@@ -288,10 +327,20 @@ def layer_norm(x: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
             bias._accum(_sum_leading(g))
         if x.requires_grad:
             gy = g * gain.data
-            x._accum(inv * (gy - gy.mean(axis=-1, keepdims=True)
-                            - xhat * (gy * xhat).mean(axis=-1, keepdims=True)))
+            t = gy * xhat
+            m2 = t.sum(axis=-1, keepdims=True)
+            m2 /= n
+            m1 = gy.sum(axis=-1, keepdims=True)
+            m1 /= n
+            gy -= m1
+            np.multiply(xhat, m2, out=t)
+            gy -= t
+            gy *= inv
+            x._accum(gy)
 
-    return Var(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    out = xhat * gain.data
+    out += bias.data
+    return Var(out, (x, gain, bias), bwd)
 
 
 def cross_entropy_mean(logits: Var, gold, keep_mask=None) -> Var:
@@ -388,10 +437,6 @@ class Tensor:
     def set_frozen(self, frozen: bool):
         self.data.flags.writeable = not frozen
         self.frozen = frozen
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 @dataclass

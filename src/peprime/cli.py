@@ -15,6 +15,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -135,10 +136,15 @@ def build_corpora(cfg: dict):
         return sources, targets
     syn = dcfg["synthetic"]
     languages = list(syn["sources"]) + list(syn["targets"])
-    specs = {lang: D.SyntheticLanguageSpec(language_id=lang, seed=syn["family_seed"] * 1000 + i,
-                                           entity_rate=syn["entity_rate"],
-                                           mean_sentence_length=syn["mean_sentence_length"])
-             for i, lang in enumerate(languages)}
+    try:
+        ad.check_ranges(SimpleNamespace(**syn), {"n_sentences_source": 1, "n_sentences_target": 1})
+        specs = {lang: D.SyntheticLanguageSpec(language_id=lang,
+                                               seed=syn["family_seed"] * 1000 + i,
+                                               entity_rate=syn["entity_rate"],
+                                               mean_sentence_length=syn["mean_sentence_length"])
+                 for i, lang in enumerate(languages)}
+    except ValueError as exc:
+        raise ConfigError(f"data.synthetic: {exc}") from None
 
     def generate(lang, n):
         return D.truncate_corpus(D.generate_language(specs[lang], n), max_len)
@@ -296,11 +302,26 @@ def cmd_matrix(args):
     return 0
 
 
-def cmd_report(args):
+def _read_records(path) -> list:
+    """The records of a result JSONL file; each line must be an object with
+    string ``setting`` and ``language`` and a numeric ``f1``."""
     records = []
-    for path in args.results:
-        with open(path, encoding="utf-8") as f:
-            records.extend(json.loads(line) for line in f if line.strip())
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            if not (isinstance(rec, dict) and isinstance(rec.get("setting"), str)
+                    and isinstance(rec.get("language"), str)
+                    and type(rec.get("f1")) in (int, float)):
+                raise ValueError(f"{path} line {n}: a result record must be an object with "
+                                 f"string 'setting' and 'language' and a numeric 'f1'")
+            records.append(rec)
+    return records
+
+
+def cmd_report(args):
+    records = [rec for path in args.results for rec in _read_records(path)]
     md = render_table(records)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)

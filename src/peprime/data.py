@@ -194,6 +194,9 @@ class SyntheticLanguageSpec:
     def __post_init__(self):
         if self.entity_sharing not in ("pooled", "private"):
             raise ValueError(f"unknown entity_sharing {self.entity_sharing!r}")
+        if not 0.0 <= self.entity_rate <= 1.0:
+            raise ValueError(f"entity_rate must be in [0, 1] (got {self.entity_rate})")
+        check_ranges(self, {}, positive=("mean_sentence_length",))
 
 
 def generate_language(spec: SyntheticLanguageSpec, n_sentences: int) -> Corpus:

@@ -187,9 +187,9 @@ class PartitionedModel:
         inv_sqrt_dh = 1.0 / math.sqrt(dh)
         for layer in range(c.n_layers):
             pre = f"enc.{layer}"
-            q = ad.add(ad.matmul(x, leaves[f"{pre}.attn.wq"]), leaves[f"{pre}.attn.wq_b"])
-            k = ad.add(ad.matmul(x, leaves[f"{pre}.attn.wk"]), leaves[f"{pre}.attn.wk_b"])
-            v = ad.add(ad.matmul(x, leaves[f"{pre}.attn.wv"]), leaves[f"{pre}.attn.wv_b"])
+            q = ad.linear(x, leaves[f"{pre}.attn.wq"], leaves[f"{pre}.attn.wq_b"])
+            k = ad.linear(x, leaves[f"{pre}.attn.wk"], leaves[f"{pre}.attn.wk_b"])
+            v = ad.linear(x, leaves[f"{pre}.attn.wv"], leaves[f"{pre}.attn.wv_b"])
             heads = []
             for h in range(c.n_heads):
                 lo, hi = h * dh, (h + 1) * dh
@@ -197,11 +197,11 @@ class PartitionedModel:
                 scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt_dh)
                 attn = ad.softmax_rows(scores, additive_mask=key_mask)
                 heads.append(ad.matmul(attn, vh))
-            att = ad.add(ad.matmul(ad.concat_cols(heads), leaves[f"{pre}.attn.wo"]),
-                         leaves[f"{pre}.attn.wo_b"])
+            att = ad.linear(ad.concat_cols(heads), leaves[f"{pre}.attn.wo"],
+                            leaves[f"{pre}.attn.wo_b"])
             x = ad.layer_norm(ad.add(x, att), leaves[f"{pre}.ln1.g"], leaves[f"{pre}.ln1.b"])
-            h1 = ad.gelu(ad.add(ad.matmul(x, leaves[f"{pre}.ffn.w1"]), leaves[f"{pre}.ffn.b1"]))
-            ff = ad.add(ad.matmul(h1, leaves[f"{pre}.ffn.w2"]), leaves[f"{pre}.ffn.b2"])
+            h1 = ad.gelu(ad.linear(x, leaves[f"{pre}.ffn.w1"], leaves[f"{pre}.ffn.b1"]))
+            ff = ad.linear(h1, leaves[f"{pre}.ffn.w2"], leaves[f"{pre}.ffn.b2"])
             x = ad.layer_norm(ad.add(x, ff), leaves[f"{pre}.ln2.g"], leaves[f"{pre}.ln2.b"])
         return x
 
@@ -209,13 +209,13 @@ class PartitionedModel:
         c = self.config
         if hidden.data.shape[-1] != c.d_model:
             raise ad.ShapeMismatchError("adapter", hidden.data.shape, (c.d_model,))
-        z = ad.add(ad.matmul(hidden, leaves["adapter.down"]), leaves["adapter.down_b"])
+        z = ad.linear(hidden, leaves["adapter.down"], leaves["adapter.down_b"])
         z = ad.relu(z) if c.adapter_nonlinearity == "relu" else ad.gelu(z)
-        z = ad.add(ad.matmul(z, leaves["adapter.up"]), leaves["adapter.up_b"])
+        z = ad.linear(z, leaves["adapter.up"], leaves["adapter.up_b"])
         return ad.add(hidden, z) if c.adapter_residual else z
 
     def classify(self, adapted: Var, head: str, leaves) -> Var:
-        return ad.add(ad.matmul(adapted, leaves[f"head.{head}.w"]), leaves[f"head.{head}.b"])
+        return ad.linear(adapted, leaves[f"head.{head}.w"], leaves[f"head.{head}.b"])
 
     def _adapt_and_classify(self, hidden: Var, head: str, leaves) -> Var:
         if self.has_adapter:

@@ -34,7 +34,7 @@ SHARED_HEAD = "shared"
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, step, task_id, loss, loop="outer step"):
-        self.step, self.task_id, self.loss = step, task_id, loss
+        self.step, self.task_id, self.loss, self.loop = step, task_id, loss, loop
         super().__init__(f"non-finite loss {loss} at {loop} {step}, task {task_id!r}")
 
 
@@ -132,12 +132,14 @@ class InnerResult:
 
 
 def inner_adapt(model: PartitionedModel, task, cfg: PrimingConfig, rng,
-                head: str = SHARED_HEAD) -> InnerResult:
+                head: str = SHARED_HEAD, step_index: int | None = None) -> InnerResult:
     """S steps of support-set SGD on a deep copy of the model.
 
     pe_sim updates only adapter + head; full_maml also updates the
     encoder, at ``alpha_full`` for every partition (the full inner loop
-    needs the lower rate to converge).
+    needs the lower rate to converge). A non-finite support loss raises
+    ``TrainingDiverged`` naming the inner step, the task and, when
+    ``step_index`` is given, the outer step.
     """
     adapted = model.clone()
     result = InnerResult(adapted)
@@ -149,10 +151,13 @@ def inner_adapt(model: PartitionedModel, task, cfg: PrimingConfig, rng,
     light_ids = reg.ids(Partition.LIGHTWEIGHT) + adapted.head_ids(head)
     pretrained_ids = reg.ids(Partition.PRETRAINED)
     batches = task.support_batches(cfg.support_batch_size, rng)
+    loop = "inner step" if step_index is None else f"outer step {step_index}, inner step"
     if cfg.inner_mode == "pe_sim":
         adapted.freeze((Partition.PRETRAINED,))
-    for _ in range(cfg.inner_steps):
+    for step in range(cfg.inner_steps):
         loss, leaves = adapted.batch_loss(next(batches), head)
+        if not np.isfinite(loss.data):
+            raise TrainingDiverged(step, task.task_id, float(loss.data), loop)
         result.support_losses.append(float(loss.data))
         grads = ad.grads_for(loss, leaves)
         if cfg.inner_mode == "full_maml":
@@ -181,7 +186,7 @@ def outer_step(model: PartitionedModel, tasks, cfg: PrimingConfig, optimizer: Ad
     records = []
     first_adapted = None
     for task in tasks:
-        inner = inner_adapt(model, task, cfg, rng, head)
+        inner = inner_adapt(model, task, cfg, rng, head, step_index)
         if first_adapted is None:
             first_adapted = inner.adapted
         qbatch = task.query_batch(cfg.query_batch_size, rng)

@@ -156,6 +156,7 @@ def _binary_cases():
         ("mul", (x, x - 0.5), lambda a, b: ad.mul(a, b)),
         ("concat_cols", (x, y), lambda a, b: ad.concat_cols([a, b])),
         ("layer_norm", (x, v + 1.0, v), lambda a, g, b: ad.layer_norm(a, g, b)),
+        ("linear", (x, w, y[0].copy()), lambda a, w, b: ad.linear(a, w, b)),
     ]
 
 
@@ -243,6 +244,7 @@ class TestPrunedBackward:
 def _batched_cases():
     """(name, operand arrays, graph function) on 3-d and 4-d inputs with padding."""
     rng = np.random.default_rng(5)
+    lin = np.random.default_rng(6)      # linear's operands, so the other cases keep their data
     cases = []
     for lead in ((2,), (2, 3)):
         x = rng.normal(size=lead + (4, 5))
@@ -270,6 +272,7 @@ def _batched_cases():
              lambda t, ids=ids: ad.embedding(t, ids)),
             (f"cross_entropy_{tag}", (x,),
              lambda a, gold=gold, keep=keep: ad.cross_entropy_mean(a, gold, keep)),
+            (f"linear_{tag}", (x, lin.normal(size=(5, 3)), lin.normal(size=3)), ad.linear),
         ]
     return cases
 
@@ -316,6 +319,89 @@ class TestBatchedPrimitives:
             ad.cross_entropy_mean(x, np.zeros((2, 3), int), np.ones((2, 4), bool))
         with pytest.raises(ad.ShapeMismatchError, match="transpose"):
             ad.transpose(Var(np.zeros(3)))
+        with pytest.raises(ad.ShapeMismatchError, match="linear"):
+            ad.linear(x, Var(np.zeros((4, 2))), Var(np.zeros(3)))     # bias width
+        with pytest.raises(ad.ShapeMismatchError, match="linear"):
+            ad.linear(x, Var(np.zeros((2, 4, 2))), Var(np.zeros(2)))  # weight not 2-d
+
+
+def zero_fill_accum(self, g):
+    """The slow path ``Var._accum`` replaced: zero-fill a new array, then add in place."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def fan_out_graph(table, w, sib, add_first):
+    """``h`` feeds an ``add`` with ``sib`` and two overlapping ``slice_cols``; ``table`` is read twice."""
+    e = ad.add(ad.embedding(table, [[0, 2, 2], [1, 0, 3]]), ad.embedding(table, [[3, 3, 1], [0, 1, 2]]))
+    h = ad.matmul(e, w)
+    parts = [ad.add(h, sib), ad.slice_cols(h, 0, 3), ad.slice_cols(h, 1, 4)]
+    if not add_first:
+        parts = parts[::-1]
+    return ad.concat_cols(parts)
+
+
+class TestSharedGradients:
+    """A first gradient is kept by reference, so no backward may write into one in place."""
+
+    @pytest.fixture()
+    def operands(self):
+        rng = np.random.default_rng(8)
+        return rng.normal(size=(4, 3)), rng.normal(size=(3, 4)), rng.normal(size=(2, 3, 4))
+
+    @pytest.mark.parametrize("add_first", [True, False], ids=["add_first", "slices_first"])
+    def test_fan_out_matches_finite_differences(self, operands, add_first):
+        reg = ad.ParameterRegistry()
+        for name, a in zip(("table", "w", "sib"), operands):
+            reg.add(name, a, Partition.HEAD)
+
+        def loss_fn(registry):
+            leaves = registry.leaf_vars()
+            return _scalar_loss(fan_out_graph(*leaves.values(), add_first)), leaves
+
+        report = ad.finite_difference_check(loss_fn, reg, epsilon=1e-5, tolerance=1e-5)
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("add_first", [True, False], ids=["add_first", "slices_first"])
+    def test_sibling_gradient_left_untouched(self, operands, add_first):
+        table, w, sib = (Var(a) for a in operands)
+        ad.backward(_scalar_loss(fan_out_graph(table, w, sib, add_first)))
+        # the same graph with h's inputs frozen: nothing accumulates into h
+        alone = Var(operands[2])
+        ad.backward(_scalar_loss(fan_out_graph(Var(operands[0], requires_grad=False),
+                                               Var(operands[1], requires_grad=False),
+                                               alone, add_first)))
+        assert sib.grad.tobytes() == alone.grad.tobytes()
+        assert not np.shares_memory(sib.grad, w.grad)
+        assert not np.shares_memory(sib.grad, table.grad)
+
+    @pytest.mark.parametrize("add_first", [True, False], ids=["add_first", "slices_first"])
+    def test_fan_out_matches_zero_fill(self, operands, add_first, monkeypatch):
+        def grads():
+            leaves = [Var(a) for a in operands]
+            ad.backward(_scalar_loss(fan_out_graph(*leaves, add_first)))
+            return [v.grad.tobytes() for v in leaves]
+        fast = grads()
+        monkeypatch.setattr(Var, "_accum", zero_fill_accum)
+        assert grads() == fast
+
+    @pytest.mark.parametrize("case", range(len(_batched_cases())),
+                             ids=[c[0] for c in _batched_cases()])
+    def test_primitives_match_zero_fill(self, case, monkeypatch):
+        # zero-fill adds the first gradient to +0.0, which turns a -0.0 (a
+        # masked softmax key, say) into +0.0 and leaves every other value as
+        # it is; adding 0.0 to the kept gradient does the same
+        _, arrays, build = _batched_cases()[case]
+
+        def grads():
+            leaves = [Var(a) for a in arrays]
+            out = build(*leaves)
+            ad.backward(out if out.data.shape == () else _scalar_loss(out))
+            return [v.grad for v in leaves]
+        fast = [(g + 0.0).tobytes() for g in grads()]
+        monkeypatch.setattr(Var, "_accum", zero_fill_accum)
+        assert [g.tobytes() for g in grads()] == fast
 
 
 class TestNoTape:

@@ -97,9 +97,21 @@ class TestConfig:
         (lambda c: c["finetune"].update(steps=-3), "finetune: steps"),
         (lambda c: c["model"].update(n_heads=0), "model: n_heads"),
         (lambda c: c["model"].update(n_labels=3), "model.n_labels must be 7"),
+        (lambda c: c["data"]["synthetic"].update(entity_rate=-1.0),
+         "data.synthetic: entity_rate must be in [0, 1]"),
+        (lambda c: c["data"]["synthetic"].update(entity_rate=1.5),
+         "data.synthetic: entity_rate must be in [0, 1]"),
+        (lambda c: c["data"]["synthetic"].update(mean_sentence_length=0),
+         "data.synthetic: mean_sentence_length must be > 0"),
+        (lambda c: c["data"]["synthetic"].update(n_sentences_source=0),
+         "data.synthetic: n_sentences_source must be >= 1"),
+        (lambda c: c["data"]["synthetic"].update(n_sentences_target=-2),
+         "data.synthetic: n_sentences_target must be >= 1"),
     ], ids=["str_for_int", "bool_for_int", "str_for_model_int", "str_seed", "no_seeds",
             "int_for_section", "eval_every_0", "batch_size_0", "pretrain_batch_size_0",
-            "train_size_0", "negative_steps", "n_heads_0", "n_labels_3"])
+            "train_size_0", "negative_steps", "n_heads_0", "n_labels_3",
+            "entity_rate_negative", "entity_rate_above_1", "mean_sentence_length_0",
+            "n_sentences_source_0", "n_sentences_target_negative"])
     def test_bad_values_fail_cleanly(self, tiny_config, tmp_path, capsys, edit, key):
         cfg = json.loads(tiny_config.read_text())
         edit(cfg)
@@ -391,6 +403,21 @@ class TestReport:
         path.write_text("\n".join(json.dumps(r) for r in records))
         run(["report", path])
         assert "**50.00**" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line", [
+        '{"setting": "adapter_tuning", "seed": 0, "f1": 50.0}',
+        '{"setting": "adapter_tuning", "language": "ta", "seed": 0}',
+        '[1, 2]',
+    ], ids=["no_language", "no_f1", "not_an_object"])
+    def test_bad_record_fails_cleanly(self, tmp_path, capsys, line):
+        good = {"setting": "adapter_tuning", "language": "ta", "seed": 0, "f1": 50.0}
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(good) + "\n" + line + "\n")
+        assert run(["report", path]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "line 2" in err["message"]
+        assert captured.out == ""
 
     def test_matrix_rendering(self):
         md = cli.render_matrix({("at", "pe_sim"): 50.0, ("at", "full_sim"): 45.0,

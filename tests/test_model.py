@@ -10,6 +10,7 @@ from peprime.model import (
     format_fraction_percent,
     pad_rows,
 )
+from test_autodiff import zero_fill_accum
 
 ALL_PARTITIONS = (Partition.PRETRAINED, Partition.LIGHTWEIGHT, Partition.HEAD)
 
@@ -413,3 +414,78 @@ class TestTrainableFraction:
         got = (reg.n_params(Partition.LIGHTWEIGHT) + reg.n_params(Partition.HEAD))
         assert frac.numerator == got
         assert frac.denominator == reg.n_params()
+
+
+def desk_model():
+    """The desk model with every partition active: random adapter, so relu masks bite."""
+    m = fresh_model()
+    rng = np.random.default_rng(12)
+    for pid in m.registry.ids(Partition.LIGHTWEIGHT):
+        m.registry[pid].value.data = 0.3 * rng.normal(size=m.registry[pid].value.data.shape)
+    return m
+
+
+def shaped_batch(rng, n_seq, lo, hi):
+    """``n_seq`` sequences of lengths in [lo, hi], about one label in ten dropped."""
+    batch = []
+    for n in rng.integers(lo, hi + 1, n_seq):
+        labels = rng.integers(0, 7, n)
+        labels[rng.random(n) < 0.1] = -1
+        labels[0] = max(labels[0], 0)
+        batch.append((rng.integers(2, 60, n), labels))
+    return batch
+
+
+BATCH_SHAPES = {"b1x32": (1, 32, 32), "b8": (8, 3, 20), "b32": (32, 3, 20)}
+
+
+def loss_and_grads(frozen, shape):
+    """Bytes of the loss and of every ``grads_for`` entry, two batches on one model."""
+    m = desk_model()
+    m.freeze(frozen)
+    rng = np.random.default_rng(13)
+    out = []
+    for _ in range(2):          # with PRETRAINED frozen the second batch reads stored states
+        loss, leaves = m.batch_loss(shaped_batch(rng, *BATCH_SHAPES[shape]), "t")
+        grads = ad.grads_for(loss, leaves)
+        out.append((loss.data.tobytes(), {pid: g.tobytes() for pid, g in grads.items()}))
+    return out
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES)
+@pytest.mark.parametrize("frozen", [(), (Partition.PRETRAINED,)], ids=["nothing", "encoder"])
+class TestFastPathOracles:
+    """The kept first gradient and ``ad.linear`` against the slow paths they replace."""
+
+    def test_kept_first_gradient_matches_zero_fill(self, frozen, shape, monkeypatch):
+        fast = loss_and_grads(frozen, shape)
+        monkeypatch.setattr(Var, "_accum", zero_fill_accum)
+        assert loss_and_grads(frozen, shape) == fast
+
+    def test_linear_matches_add_of_matmul(self, frozen, shape, monkeypatch):
+        fast = loss_and_grads(frozen, shape)
+        monkeypatch.setattr(ad, "linear", lambda x, w, b: ad.add(ad.matmul(x, w), b))
+        assert loss_and_grads(frozen, shape) == fast
+
+    def test_gradients_share_no_memory(self, frozen, shape):
+        m = desk_model()
+        m.freeze(frozen)
+        loss, leaves = m.batch_loss(shaped_batch(np.random.default_rng(14), *BATCH_SHAPES[shape]), "t")
+        grads = list(ad.grads_for(loss, leaves).values())
+        params = [p.value.data for p in m.registry]
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, other) for other in grads[i + 1:] + params)
+
+
+def test_linear_makes_one_node_per_projection(monkeypatch):
+    # 6 projections per encoder layer, 2 in the adapter and the head: one node each, not two
+    m = desk_model()
+    calls = {"add": 0, "matmul": 0}
+    for name in calls:
+        def counting(*args, name=name, fn=getattr(ad, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(ad, name, counting)
+    m.batch_loss(shaped_batch(np.random.default_rng(15), 2, 4, 6), "t")
+    layers = m.config.n_layers
+    assert calls == {"add": 1 + 2 * layers + 1, "matmul": 2 * m.config.n_heads * layers}

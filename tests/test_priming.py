@@ -9,6 +9,7 @@ from peprime.priming import (
     SHARED_HEAD,
     AdamW,
     PrimingConfig,
+    TrainingDiverged,
     ft_prime,
     inner_adapt,
     outer_step,
@@ -151,6 +152,17 @@ class TestInnerAdapt:
         task = D.MetaTask("empty", support=[], query=[(np.array([0]), np.array([0]))])
         with pytest.raises(ValueError, match="empty support"):
             inner_adapt(QuadraticModel(), task, cfg(), np.random.default_rng(0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_inner_step(self):
+        # the first step's SGD update of 1e300 overflows the second support loss
+        with pytest.raises(TrainingDiverged, match=r"at inner step 1, task 'toy'") as exc:
+            inner_adapt(QuadraticModel(), toy_task(), cfg(alpha=1e300),
+                        np.random.default_rng(0))
+        assert exc.value.loop == "inner step" and exc.value.step == 1
+        with pytest.raises(TrainingDiverged, match=r"at outer step 3, inner step 1, task 'toy'"):
+            outer_step(QuadraticModel(), [toy_task()], cfg(alpha=1e300), RecordingOptimizer(),
+                       lr=1e-3, rng=np.random.default_rng(0), step_index=3)
 
 
 class TestOuterStep:
