@@ -51,6 +51,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -555,9 +556,12 @@ def load_checkpoint(path, expected_config_hash: str | None = None) -> ParameterR
     try:
         header = json.loads(blob[16:offset].decode("utf-8"))
         config_hash, entries = header["config_hash"], header["params"]
-        shapes = [tuple(int(d) for d in e["shape"]) for e in entries]
+        shapes = [e["shape"] for e in entries]
         partitions = [Partition(e["partition"]) for e in entries]
         ids = [e["id"] for e in entries]
+        if not (all(type(s) is list and all(type(d) is int and d >= 0 for d in s) for s in shapes)
+                and all(type(pid) is str for pid in ids) and len(set(ids)) == len(ids)):
+            raise ValueError("ids must be unique strings and shapes lists of ints >= 0")
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from None
     if expected_config_hash is not None and config_hash != expected_config_hash:
@@ -565,13 +569,13 @@ def load_checkpoint(path, expected_config_hash: str | None = None) -> ParameterR
             f"{path}: config hash mismatch "
             f"(checkpoint {config_hash}, expected {expected_config_hash})"
         )
-    expected_len = offset + 8 * sum(int(np.prod(shape)) for shape in shapes)
+    expected_len = offset + 8 * sum(math.prod(shape) for shape in shapes)
     if len(blob) != expected_len:
         kind = "truncated payload" if len(blob) < expected_len else "trailing bytes"
         raise CheckpointError(f"{path}: {kind} ({len(blob)} bytes, expected {expected_len})")
     reg = ParameterRegistry()
     for pid, shape, partition in zip(ids, shapes, partitions):
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         buf = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
         reg.add(pid, buf.astype(np.float64), partition)
         offset += 8 * n

@@ -58,6 +58,12 @@ class FineTuneSetting(enum.Enum):
         """``lr_full`` when the encoder trains, ``lr_pe`` otherwise."""
         return hyper.lr_full if Partition.PRETRAINED in self.trains else hyper.lr_pe
 
+    def check_model(self, model: PartitionedModel):
+        """``ContractError`` unless ``model`` has an adapter exactly when the setting does."""
+        if model.has_adapter != self.has_adapter:
+            raise ad.ContractError(f"setting {self.value!r} has_adapter={self.has_adapter} "
+                                   f"but the model has_adapter={model.has_adapter}")
+
 
 def priming_recipe(setting: FineTuneSetting):
     """The setting's ``(kind, PrimingConfig overrides)``, None when unprimed."""
@@ -155,11 +161,12 @@ def finetune(init_model: PartitionedModel, setting: FineTuneSetting,
     """Train the setting's trainable partitions; keep the best-val-F1 state.
 
     ``init_model`` must already match the setting: adapter present (primed
-    or fresh) for PE settings, absent for the adapter-free baseline. A
-    fresh target head is always added here.
+    or fresh) for PE settings, absent for the adapter-free baseline;
+    ``ContractError`` otherwise. A fresh target head is always added here.
     """
     if not train_data:
         raise ValueError("finetune: empty train set")
+    setting.check_model(init_model)
     rng = np.random.default_rng(seed)
     model = init_model.clone()
     if TARGET_HEAD in model.head_names():
@@ -167,7 +174,7 @@ def finetune(init_model: PartitionedModel, setting: FineTuneSetting,
     model.add_head(TARGET_HEAD, rng)
 
     model.freeze(set(Partition) - set(setting.trains))
-    optimizer = AdamW([pid for part in setting.trains for pid in model.registry.ids(part)])
+    optimizer = AdamW()
     lr = setting.lr(hyper)
 
     def evaluate():
@@ -194,6 +201,7 @@ def finetune(init_model: PartitionedModel, setting: FineTuneSetting,
 def evaluate_setting(model: PartitionedModel, setting: FineTuneSetting,
                      test_corpus: Corpus, vocab: Vocab, language: str,
                      seed: int) -> EvalReport:
+    setting.check_model(model)
     report = micro_f1([s.labels for s in test_corpus], predict_corpus(model, test_corpus, vocab))
     fraction = count_trainable_fraction(model.config, setting.trains, setting.has_adapter)
     return replace(report, setting=setting.value, language=language, seed=seed,

@@ -1,21 +1,20 @@
 """Priming: meta-learned initialization of the encoder and adapter.
 
-The inner loop simulates parameter-efficient fine-tuning on each task's
-support set (SGD on adapter + head only; the encoder stays frozen unless
-``inner_mode="full_maml"``, which also updates the encoder at its own,
-lower learning rate). In pe_sim mode the inner loop freezes PRETRAINED on
-its private clone (``PartitionedModel.freeze``), so the support steps run
-no encoder backward and reuse each sequence's encoding; the clone is
-unfrozen before it is returned, because the query gradient needs θ_p.
-The outer loop applies first-order meta-gradients:
-the query-set gradient evaluated at the adapted parameters, summed over
-the task batch, is fed to AdamW as a direct gradient at the shared
-starting point for the encoder and adapter partitions. The head is
-never meta-updated; after each outer step it is handed the adapted head
-of the batch's first task, which seeds every inner loop of the next step.
+``PartitionedModel.freeze`` says what trains, plus the outer step's rule that
+the head is never meta-updated: every loop gets its loss and gradients from
+``loss_and_grads``, and ``sgd_step`` and ``AdamW`` step on exactly the
+gradients they are given. The inner loop simulates PE fine-tuning on each
+task's support set: SGD on adapter + head, with the encoder frozen on the
+task's private clone (so each sequence is encoded once) unless
+``inner_mode="full_maml"``, which trains it too at its own, lower rate. The
+clone is unfrozen before it is returned, because the query gradient needs θ_p.
+The outer loop sums the query gradients taken at the adapted parameters over
+the task batch and feeds them to AdamW at the shared starting point for the
+encoder and adapter (first-order MAML). After each outer step the head is
+handed the adapted head of the batch's first task, which seeds every inner
+loop of the next step.
 
-``ft_prime`` is the baseline that sees the same data but simply
-fine-tunes everything jointly.
+``ft_prime`` is the baseline that sees the same data but fine-tunes everything jointly.
 """
 
 from __future__ import annotations
@@ -71,58 +70,60 @@ class PrimingConfig:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a fixed set of parameter ids."""
+    """Decoupled-weight-decay Adam on exactly the ids in ``grads``; ``freeze`` says what trains."""
 
-    def __init__(self, param_ids, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
-        self.param_ids = list(param_ids)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
+    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+        self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
         self.step_count = 0
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m, self.v = {}, {}
 
     def step(self, registry: ad.ParameterRegistry, grads: dict, lr: float):
+        _check_writable(registry, grads)
         self.step_count += 1
         b1c = 1.0 - self.beta1 ** self.step_count
         b2c = 1.0 - self.beta2 ** self.step_count
-        for pid in self.param_ids:
-            g = grads.get(pid)
-            if g is None:
-                continue
-            if pid not in self.m:
-                self.m[pid] = np.zeros_like(g)
-                self.v[pid] = np.zeros_like(g)
-            self.m[pid] = self.beta1 * self.m[pid] + (1 - self.beta1) * g
-            self.v[pid] = self.beta2 * self.v[pid] + (1 - self.beta2) * g * g
+        for pid, g in grads.items():
+            self.m[pid] = self.beta1 * self.m.get(pid, 0.0) + (1 - self.beta1) * g
+            self.v[pid] = self.beta2 * self.v.get(pid, 0.0) + (1 - self.beta2) * g * g
             theta = registry[pid].value.data
             theta -= lr * self.weight_decay * theta
             theta -= lr * (self.m[pid] / b1c) / (np.sqrt(self.v[pid] / b2c) + self.eps)
 
 
+def _check_writable(registry: ad.ParameterRegistry, grads: dict):
+    """``ValueError`` before any write when a gradient is for a frozen (read-only) parameter."""
+    if frozen := [pid for pid in grads if not registry[pid].value.data.flags.writeable]:
+        raise ValueError(f"gradients for frozen (read-only) parameters: {frozen}")
+
+
+def loss_and_grads(model: PartitionedModel, batch, head: str, step: int, task_id,
+                   loop: str = "outer step"):
+    """(loss Var, unfrozen gradients) of a batch; a non-finite loss raises ``TrainingDiverged``."""
+    loss, leaves = model.batch_loss(batch, head)
+    if not np.isfinite(loss.data):
+        raise TrainingDiverged(step, task_id, float(loss.data), loop)
+    # a Var, not a float: freeing the graph before the optimizer step re-faults the heap; 20% slower
+    return loss, ad.grads_for(loss, leaves)
+
+
 def adamw_step(model: PartitionedModel, batches, optimizer: AdamW, lr: float,
                step: int, loop: str = "outer step") -> list:
-    """One AdamW step on the gradients summed over ``(head, batch)`` pairs.
-
-    A non-finite batch loss raises ``TrainingDiverged`` naming ``loop`` and
-    ``step``. Returns the batch losses in order.
-    """
+    """One AdamW step on the gradients summed over ``(head, batch)`` pairs; returns the losses."""
     grads: dict = {}
     losses = []
     for head, batch in batches:
-        loss, leaves = model.batch_loss(batch, head)
-        if not np.isfinite(loss.data):
-            raise TrainingDiverged(step, head, float(loss.data), loop)
-        for pid, g in ad.grads_for(loss, leaves).items():
+        loss, batch_grads = loss_and_grads(model, batch, head, step, head, loop)
+        for pid, g in batch_grads.items():
             grads[pid] = grads[pid] + g if pid in grads else g
         losses.append(float(loss.data))
     optimizer.step(model.registry, grads, lr)
     return losses
 
 
-def sgd_step(registry: ad.ParameterRegistry, grads: dict, param_ids, lr: float):
-    for pid in param_ids:
-        if pid in grads:
-            registry[pid].value.data -= lr * grads[pid]
+def sgd_step(registry: ad.ParameterRegistry, grads: dict, lr: float):
+    _check_writable(registry, grads)
+    for pid, g in grads.items():
+        registry[pid].value.data -= lr * g
 
 
 @dataclass
@@ -132,10 +133,10 @@ class InnerResult:
 
 
 def inner_adapt(model: PartitionedModel, task, cfg: PrimingConfig, rng,
-                head: str = SHARED_HEAD, step_index: int | None = None) -> InnerResult:
+                step_index: int | None = None) -> InnerResult:
     """S steps of support-set SGD on a deep copy of the model.
 
-    pe_sim updates only adapter + head; full_maml also updates the
+    pe_sim updates only adapter + shared head; full_maml also updates the
     encoder, at ``alpha_full`` for every partition (the full inner loop
     needs the lower rate to converge). A non-finite support loss raises
     ``TrainingDiverged`` naming the inner step, the task and, when
@@ -147,29 +148,21 @@ def inner_adapt(model: PartitionedModel, task, cfg: PrimingConfig, rng,
         return result
     if not task.support:
         raise ValueError(f"task {task.task_id!r} has an empty support set")
-    reg = adapted.registry
-    light_ids = reg.ids(Partition.LIGHTWEIGHT) + adapted.head_ids(head)
-    pretrained_ids = reg.ids(Partition.PRETRAINED)
     batches = task.support_batches(cfg.support_batch_size, rng)
     loop = "inner step" if step_index is None else f"outer step {step_index}, inner step"
+    lr = cfg.alpha if cfg.inner_mode == "pe_sim" else cfg.alpha_full
     if cfg.inner_mode == "pe_sim":
         adapted.freeze((Partition.PRETRAINED,))
     for step in range(cfg.inner_steps):
-        loss, leaves = adapted.batch_loss(next(batches), head)
-        if not np.isfinite(loss.data):
-            raise TrainingDiverged(step, task.task_id, float(loss.data), loop)
+        loss, grads = loss_and_grads(adapted, next(batches), SHARED_HEAD, step, task.task_id, loop)
         result.support_losses.append(float(loss.data))
-        grads = ad.grads_for(loss, leaves)
-        if cfg.inner_mode == "full_maml":
-            sgd_step(reg, grads, light_ids + pretrained_ids, cfg.alpha_full)
-        else:
-            sgd_step(reg, grads, light_ids, cfg.alpha)
+        sgd_step(adapted.registry, grads, lr)
     adapted.freeze()
     return result
 
 
 def outer_step(model: PartitionedModel, tasks, cfg: PrimingConfig, optimizer: AdamW,
-               lr: float, rng, head: str = SHARED_HEAD, step_index: int = 0):
+               lr: float, rng, step_index: int = 0):
     """One priming iteration over a batch of tasks; mutates ``model``.
 
     First-order meta-gradient: each task is adapted independently from
@@ -186,17 +179,13 @@ def outer_step(model: PartitionedModel, tasks, cfg: PrimingConfig, optimizer: Ad
     records = []
     first_adapted = None
     for task in tasks:
-        inner = inner_adapt(model, task, cfg, rng, head, step_index)
+        inner = inner_adapt(model, task, cfg, rng, step_index)
         if first_adapted is None:
             first_adapted = inner.adapted
-        qbatch = task.query_batch(cfg.query_batch_size, rng)
-        loss, leaves = inner.adapted.batch_loss(qbatch, head)
-        if not np.isfinite(loss.data):
-            raise TrainingDiverged(step_index, task.task_id, float(loss.data))
-        grads = ad.grads_for(loss, leaves)
+        loss, grads = loss_and_grads(inner.adapted, task.query_batch(cfg.query_batch_size, rng),
+                                     SHARED_HEAD, step_index, task.task_id)
         for pid in meta_ids:
-            g = grads[pid]
-            meta_grads[pid] = meta_grads.get(pid, 0.0) + g
+            meta_grads[pid] = meta_grads.get(pid, 0.0) + grads[pid]
         records.append({
             "outer_step": step_index,
             "task_id": task.task_id,
@@ -207,7 +196,7 @@ def outer_step(model: PartitionedModel, tasks, cfg: PrimingConfig, optimizer: Ad
             "beta_current": lr,
         })
     optimizer.step(model.registry, meta_grads, lr)
-    for pid in model.head_ids(head):
+    for pid in model.head_ids(SHARED_HEAD):
         model.registry[pid].value.data = first_adapted.registry[pid].value.data.copy()
     return records
 
@@ -231,13 +220,11 @@ def prime(model: PartitionedModel, meta_tasks, cfg: PrimingConfig,
     model = model.clone()
     if SHARED_HEAD not in model.head_names():
         model.add_head(SHARED_HEAD, rng)
-    optimizer = AdamW(model.registry.ids(Partition.PRETRAINED)
-                      + model.registry.ids(Partition.LIGHTWEIGHT))
+    optimizer = AdamW()
     for step in range(cfg.outer_steps):
         k = min(cfg.tasks_per_outer_batch, len(meta_tasks))
         batch = [meta_tasks[i] for i in rng.choice(len(meta_tasks), size=k, replace=False)]
-        records = outer_step(model, batch, cfg, optimizer, cfg.lr_at(step), rng,
-                             step_index=step)
+        records = outer_step(model, batch, cfg, optimizer, cfg.lr_at(step), rng, step)
         if log is not None:
             log.extend(records)
     return model
@@ -259,7 +246,7 @@ def ft_prime(model: PartitionedModel, meta_tasks, cfg: PrimingConfig,
         if task.task_id not in model.head_names():
             model.add_head(task.task_id, rng)
     pooled = [(task.task_id, task.support + task.query) for task in meta_tasks]
-    optimizer = AdamW([p.id for p in model.registry])
+    optimizer = AdamW()
     for step in range(cfg.outer_steps):
         k = min(cfg.tasks_per_outer_batch, len(meta_tasks))
         picks = [pooled[i] for i in rng.choice(len(pooled), size=k, replace=False)]

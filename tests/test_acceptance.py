@@ -156,8 +156,7 @@ def test_criterion_3_meta_gradient_oracle():
     plain = model.clone()
     rng3 = np.random.default_rng(cfg0.seed)
     plain.add_head(SHARED_HEAD, rng3) if SHARED_HEAD not in plain.head_names() else None
-    opt = AdamW(plain.registry.ids(Partition.PRETRAINED)
-                + plain.registry.ids(Partition.LIGHTWEIGHT))
+    opt = AdamW()
     for step in range(cfg0.outer_steps):
         picks = rng3.choice(len(tasks), size=2, replace=False)
         grads: dict = {}

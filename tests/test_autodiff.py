@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -475,6 +478,14 @@ class TestRegistry:
         assert reg.n_params(Partition.LIGHTWEIGHT) == 6
 
 
+def write_raw_checkpoint(path, entries, payload_floats):
+    """A checkpoint file in the saved layout, with any header entries."""
+    header = json.dumps({"format_version": 1, "config_hash": "h", "params": entries},
+                        sort_keys=True).encode("utf-8")
+    path.write_bytes(b"PPCK" + struct.pack("<IQ", 1, len(header)) + header
+                     + np.zeros(payload_floats).tobytes())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         reg = TestRegistry().make_registry()
@@ -510,6 +521,30 @@ class TestCheckpoint:
         ad.save_checkpoint(TestRegistry().make_registry(), path, "h")
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ad.CheckpointError, match=match):
+            ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry,payload_floats,match", [
+        ({"id": "w", "shape": [-1, -2]}, 2, "malformed header"),
+        ({"id": "w", "shape": [0.5]}, 0, "malformed header"),
+        ({"id": "w", "shape": [True, 2]}, 2, "malformed header"),
+        ({"id": "w", "shape": "2"}, 2, "malformed header"),
+        ({"id": ["w"], "shape": [2]}, 2, "malformed header"),
+        ({"id": 7, "shape": [2]}, 2, "malformed header"),
+        # a size past int64 must not wrap around to the payload's length
+        ({"id": "w", "shape": [2 ** 40, 2 ** 40]}, 0, "truncated payload"),
+    ], ids=["negative_dims", "float_dim", "bool_dim", "string_shape", "list_id", "int_id",
+            "size_overflow"])
+    def test_malformed_entry_rejected(self, tmp_path, entry, payload_floats, match):
+        path = tmp_path / "bad.ckpt"
+        write_raw_checkpoint(path, [{"partition": "head", **entry}], payload_floats)
+        with pytest.raises(ad.CheckpointError, match=match):
+            ad.load_checkpoint(path)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "dup.ckpt"
+        entry = {"id": "w", "partition": "head", "shape": [1]}
+        write_raw_checkpoint(path, [entry, entry], 2)
+        with pytest.raises(ad.CheckpointError, match="ids must be unique strings"):
             ad.load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):

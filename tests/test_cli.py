@@ -245,6 +245,14 @@ class TestPrime:
         rec = json.loads(lines[0])
         assert rec["outer_step"] == 0 and "query_loss" in rec
 
+    def test_ft_prime_writes_log(self, tiny_config, tmp_path):
+        out = tmp_path / "out"
+        assert run(["prime", "--config", tiny_config, "--out", out, "--ft"]) == 0
+        lines = (out / "prime_log.jsonl").read_text().splitlines()
+        assert len(lines) == 2 * 2  # outer_steps x tasks_per_batch
+        assert all(np.isfinite(json.loads(line)["query_loss"]) for line in lines)
+        assert (out / "primed.ckpt").exists()
+
     @pytest.mark.parametrize("config,out,error", [
         ("dir", "new", "IsADirectoryError"), ("tiny", "file", "FileExistsError"),
     ], ids=["config_is_a_directory", "out_is_a_file"])
@@ -362,6 +370,22 @@ class TestFinetuneCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ContractError"
         assert "target head" in err["message"]
+
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    def test_adapter_model_under_adapter_free_setting_fails(self, tiny_config, tmp_path,
+                                                            capsys, command):
+        # a primed checkpoint carries an adapter; full_ft has none
+        exp = cli.build_experiment(cli.load_config(tiny_config))
+        path = tmp_path / "primed.ckpt"
+        ad.save_checkpoint(PartitionedModel(exp.model_config, seed=0).registry, path,
+                           exp.model_config.hash())
+        rc = run([command, "--config", tiny_config, "--out", tmp_path / "o",
+                  "--setting", "full_ft", "--language", "ta", "--init-checkpoint", path])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError"
+        assert "'full_ft' has_adapter=False" in err["message"]
+        assert "model has_adapter=True" in err["message"]
 
 
 class TestEvaluateCommand:

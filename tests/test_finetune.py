@@ -169,8 +169,8 @@ def reference_finetune(init, setting, train, val, vocab, hyper, seed):
     rng = np.random.default_rng(seed)
     model = init.clone()
     model.add_head(TARGET_HEAD, rng)
-    ids = [pid for part in setting.trains for pid in model.registry.ids(part)]
-    optimizer = AdamW(ids)
+    ids = {pid for part in setting.trains for pid in model.registry.ids(part)}
+    optimizer = AdamW()
 
     def evaluate():
         return micro_f1([s.labels for s in val], predict_corpus(model, val, vocab)).f1
@@ -185,7 +185,8 @@ def reference_finetune(init, setting, train, val, vocab, hyper, seed):
         batch = [train[i] for i in order[pos:pos + hyper.batch_size]]
         pos += hyper.batch_size
         loss, leaves = model.batch_loss(batch, TARGET_HEAD)
-        optimizer.step(model.registry, ad.grads_for(loss, leaves), setting.lr(hyper))
+        grads = {pid: g for pid, g in ad.grads_for(loss, leaves).items() if pid in ids}
+        optimizer.step(model.registry, grads, setting.lr(hyper))
         if step % hyper.eval_every == 0 or step == hyper.steps:
             f1 = evaluate()
             trace.append((step, f1))
@@ -238,6 +239,19 @@ class TestFinetune:
                  if not np.array_equal(result.model.registry[pid].value.data,
                                        init.registry[pid].value.data)]
         assert moved
+
+    @pytest.mark.parametrize("setting,has_adapter", [
+        (FineTuneSetting.FULL_FT, True), (FineTuneSetting.ADAPTER_TUNING, False),
+    ])
+    def test_model_and_setting_must_agree_on_the_adapter(self, setting, has_adapter):
+        cfg, vocab, train, val, test = tiny_setup()
+        model = PartitionedModel(cfg, seed=0, has_adapter=has_adapter)
+        hyper = FineTuneHyperparams(steps=1, batch_size=4)
+        match = f"{setting.value!r} has_adapter={not has_adapter} but the model has_adapter"
+        with pytest.raises(ad.ContractError, match=match):
+            finetune(model, setting, train, val, vocab, hyper)
+        with pytest.raises(ad.ContractError, match=match):
+            evaluate_setting(model, setting, test, vocab, "t", 0)
 
     def test_zero_steps_returns_init(self):
         cfg, vocab, train, val, _ = tiny_setup()

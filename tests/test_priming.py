@@ -14,6 +14,7 @@ from peprime.priming import (
     inner_adapt,
     outer_step,
     prime,
+    sgd_step,
 )
 
 
@@ -209,7 +210,7 @@ class TestOuterStep:
                     + model.registry.ids(Partition.LIGHTWEIGHT))
 
         actual = model.clone()
-        outer_step(actual, tasks, c, AdamW(meta_ids), lr=1e-3,
+        outer_step(actual, tasks, c, AdamW(), lr=1e-3,
                    rng=np.random.default_rng(42))
 
         expected = model.clone()
@@ -225,7 +226,7 @@ class TestOuterStep:
             grads = ad.grads_for(loss, leaves)
             for pid in meta_ids:
                 summed[pid] = summed.get(pid, 0.0) + grads[pid]
-        AdamW(meta_ids).step(expected.registry, summed, 1e-3)
+        AdamW().step(expected.registry, summed, 1e-3)
         for pid in expected.head_ids(SHARED_HEAD):
             expected.registry[pid].value.data = first_head.registry[pid].value.data.copy()
 
@@ -238,7 +239,7 @@ class TestOuterStep:
         c = cfg(inner_steps=2, support_batch_size=2)
         before = {pid: model.registry[pid].value.data.copy()
                   for pid in model.head_ids(SHARED_HEAD)}
-        outer_step(model, tasks, c, AdamW([]), lr=1e-3, rng=np.random.default_rng(7))
+        outer_step(model, tasks, c, AdamW(), lr=1e-3, rng=np.random.default_rng(7))
         changed = [pid for pid, arr in before.items()
                    if not np.array_equal(model.registry[pid].value.data, arr)]
         assert changed  # the adapted head of task 1 replaced the shared head
@@ -308,6 +309,15 @@ class TestFtPrime:
                                            model.registry[pid].value.data)]
             assert moved, partition
 
+    def test_log_has_one_finite_record_per_batch(self):
+        model = small_real_model()
+        log = []
+        ft_prime(model, [real_task(model, seed=0), real_task(model, seed=1)],
+                 cfg(outer_steps=2), log=log)
+        assert [r["outer_step"] for r in log] == [0, 0, 1, 1]
+        assert all(isinstance(r["query_loss"], float) and np.isfinite(r["query_loss"])
+                   for r in log)
+
     def test_differs_from_meta_priming(self):
         model = small_real_model()
         tasks = [real_task(model, seed=0), real_task(model, seed=1)]
@@ -323,7 +333,7 @@ class TestAdamW:
         theta0 = np.array([1.0, -2.0])
         reg.add("w", theta0.copy(), Partition.HEAD)
         g = np.array([0.3, -0.1])
-        opt = AdamW(["w"], beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+        opt = AdamW(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
         opt.step(reg, {"w": g}, lr=0.1)
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
@@ -333,8 +343,45 @@ class TestAdamW:
     def test_skips_params_without_grads(self):
         reg = ad.ParameterRegistry()
         reg.add("w", np.ones(2), Partition.HEAD)
-        AdamW(["w"]).step(reg, {}, lr=0.1)
+        AdamW().step(reg, {}, lr=0.1)
         np.testing.assert_array_equal(reg["w"].value.data, np.ones(2))
+
+
+class TestFreezingIsTheGuard:
+    """Optimizers step on every gradient they get; only freezing keeps a parameter still."""
+
+    @pytest.mark.parametrize("make_step", [
+        lambda opt: lambda reg, grads: sgd_step(reg, grads, 0.1),
+        lambda opt: lambda reg, grads: opt.step(reg, grads, 0.1),
+    ], ids=["sgd_step", "AdamW"])
+    def test_gradient_for_a_frozen_parameter_raises_before_any_write(self, make_step):
+        model = small_real_model()
+        model.freeze((Partition.PRETRAINED,))
+        free = model.registry.ids(Partition.LIGHTWEIGHT)[0]
+        frozen = model.registry.ids(Partition.PRETRAINED)[0]
+        grads = {pid: np.ones_like(model.registry[pid].value.data) for pid in (free, frozen)}
+        opt = AdamW()
+        opt.step(model.registry, {free: grads[free]}, 0.1)
+        state = (opt.step_count, {k: v.copy() for k, v in opt.m.items()},
+                 {k: v.copy() for k, v in opt.v.items()})
+        before = {pid: model.registry[pid].value.data.tobytes() for pid in grads}
+        with pytest.raises(ValueError, match=frozen):
+            make_step(opt)(model.registry, grads)
+        assert {pid: model.registry[pid].value.data.tobytes() for pid in grads} == before
+        assert opt.step_count == state[0] and list(opt.m) == list(state[1]) == [free]
+        assert np.array_equal(opt.m[free], state[1][free])
+        assert np.array_equal(opt.v[free], state[2][free])
+
+    @pytest.mark.parametrize("inner_mode", ["pe_sim", "full_maml"])
+    def test_inner_loop_leaves_a_second_head_bit_identical(self, inner_mode):
+        model = small_real_model()
+        model.add_head("other", np.random.default_rng(9))
+        before = {pid: model.registry[pid].value.data.tobytes()
+                  for pid in model.head_ids("other")}
+        result = inner_adapt(model, real_task(model), cfg(inner_mode=inner_mode),
+                             np.random.default_rng(1))
+        for pid, arr in before.items():
+            assert result.adapted.registry[pid].value.data.tobytes() == arr, pid
 
 
 # --- shared fixtures ------------------------------------------------------
