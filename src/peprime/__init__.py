@@ -14,6 +14,7 @@ from .data import (
     Corpus,
     MetaTask,
     SplitSpec,
+    SyntheticFamily,
     SyntheticLanguageSpec,
     TaggedSequence,
     Vocab,

@@ -15,7 +15,6 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,28 +43,22 @@ class ConfigError(ValueError):
 
 def _defaults(cls) -> dict:
     """The field defaults of a config dataclass; a field without one is not a config key."""
-    return {f.name: f.default for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING}
+    defaults = {}
+    for f in dataclasses.fields(cls):
+        if f.default_factory is not dataclasses.MISSING:
+            defaults[f.name] = f.default_factory()
+        elif f.default is not dataclasses.MISSING:
+            defaults[f.name] = f.default
+    return defaults
 
 
-# only the synthetic data and the seeds have no dataclass to take defaults from
+# only the seeds have no dataclass to take defaults from
 DEFAULT_CONFIG = {
     "model": _defaults(ModelConfig),
     "priming": _defaults(PrimingConfig),
     "finetune": _defaults(FineTuneHyperparams),
     "pretrain": _defaults(PretrainConfig),
-    "data": {
-        "synthetic": {
-            "sources": ["srcA", "srcB"],
-            "targets": ["tgtX", "tgtY", "tgtZ"],
-            "n_sentences_source": 1200,
-            "n_sentences_target": 800,
-            "entity_rate": 0.3,
-            "mean_sentence_length": 9.0,
-            "family_seed": 7,
-        },
-        "split": _defaults(D.SplitSpec),
-    },
+    "data": {"synthetic": _defaults(D.SyntheticFamily), "split": _defaults(D.SplitSpec)},
     "seeds": [0, 1, 2],
 }
 
@@ -134,24 +127,7 @@ def build_corpora(cfg: dict):
         sources = {l: D.load_conll(p, max_len) for l, p in paths["sources"].items()}
         targets = {l: D.load_conll(p, max_len) for l, p in paths["targets"].items()}
         return sources, targets
-    syn = dcfg["synthetic"]
-    languages = list(syn["sources"]) + list(syn["targets"])
-    try:
-        ad.check_ranges(SimpleNamespace(**syn), {"n_sentences_source": 1, "n_sentences_target": 1})
-        specs = {lang: D.SyntheticLanguageSpec(language_id=lang,
-                                               seed=syn["family_seed"] * 1000 + i,
-                                               entity_rate=syn["entity_rate"],
-                                               mean_sentence_length=syn["mean_sentence_length"])
-                 for i, lang in enumerate(languages)}
-    except ValueError as exc:
-        raise ConfigError(f"data.synthetic: {exc}") from None
-
-    def generate(lang, n):
-        return D.truncate_corpus(D.generate_language(specs[lang], n), max_len)
-
-    sources = {l: generate(l, syn["n_sentences_source"]) for l in syn["sources"]}
-    targets = {l: generate(l, syn["n_sentences_target"]) for l in syn["targets"]}
-    return sources, targets
+    return _section(D.SyntheticFamily, "data.synthetic", dcfg["synthetic"]).corpora(max_len)
 
 
 def build_experiment(cfg: dict) -> Experiment:
@@ -275,6 +251,8 @@ def cmd_finetune(args):
     ad.save_checkpoint(result.model.registry, out / "finetuned.ckpt",
                        exp.model_config.hash())
     _write_jsonl([report.to_dict()], out / "report.jsonl")
+    _write_jsonl([{"step": step, "val_f1": f1} for step, f1 in result.trace],
+                 out / "finetune_log.jsonl")
     print(f"{setting.value} on {args.language} (seed {seed}): "
           f"F1={report.f1:.2f} P={report.precision:.2f} R={report.recall:.2f}")
     return 0

@@ -1,11 +1,12 @@
 """Corpora for token tagging: CoNLL ingestion and a synthetic language family.
 
 The synthetic languages share one latent grammar. Entity mentions are
-always introduced by type-specific trigger words, and the triggers come
-from a function-word inventory that can be shared across languages while
-each language's entity lexicon is surface-renamed per language. That
-makes entity detection on an unseen language learnable from context
-alone, which is the structure cross-language transfer relies on here.
+always introduced by type-specific trigger words. Every language draws its
+function words, the triggers among them, from one shared inventory and its
+entity words from one shared pool, each permuted per language: tokens
+overlap across languages, the token-to-type mapping does not. That makes
+entity detection on an unseen language learnable from context alone,
+which is the structure cross-language transfer relies on here.
 """
 
 from __future__ import annotations
@@ -184,16 +185,8 @@ class SyntheticLanguageSpec:
     seed: int
     entity_rate: float = 0.3
     mean_sentence_length: float = 9.0
-    share_function_words: bool = True
-    # pooled: entity surface tokens come from one shared pool, permuted
-    # per language (tokens overlap, token->type mapping does not);
-    # private: every entity token is language-prefixed, zero overlap
-    entity_sharing: str = "pooled"
-    surface_seed: int | None = None   # defaults to seed; controls the renaming
 
     def __post_init__(self):
-        if self.entity_sharing not in ("pooled", "private"):
-            raise ValueError(f"unknown entity_sharing {self.entity_sharing!r}")
         if not 0.0 <= self.entity_rate <= 1.0:
             raise ValueError(f"entity_rate must be in [0, 1] (got {self.entity_rate})")
         check_ranges(self, {}, positive=("mean_sentence_length",))
@@ -204,26 +197,17 @@ def generate_language(spec: SyntheticLanguageSpec, n_sentences: int) -> Corpus:
     if n_sentences < 1:
         raise ValueError("n_sentences must be >= 1")
     rng = np.random.default_rng(spec.seed)
-    surface_rng = np.random.default_rng(spec.seed if spec.surface_seed is None else spec.surface_seed)
+    # the renaming draws from a stream of its own, so the sentence draws do not depend on it
+    surface_rng = np.random.default_rng(spec.seed)
 
     # per-language bijective renaming of the shared proto-lexicon
     fw_perm = surface_rng.permutation(N_FUNCTION_WORDS)
-    if spec.share_function_words:
-        function_words = [f"fw{fw_perm[i]}" for i in range(N_FUNCTION_WORDS)]
-    else:
-        function_words = [f"{spec.language_id}:fw{fw_perm[i]}" for i in range(N_FUNCTION_WORDS)]
-    if spec.entity_sharing == "pooled":
-        pool_perm = surface_rng.permutation(N_ENTITY_WORDS * len(ENTITY_TYPES))
-        entity_words = {
-            t: [f"ew{pool_perm[ti * N_ENTITY_WORDS + i]}" for i in range(N_ENTITY_WORDS)]
-            for ti, t in enumerate(ENTITY_TYPES)
-        }
-    else:
-        ent_perms = {t: surface_rng.permutation(N_ENTITY_WORDS) for t in ENTITY_TYPES}
-        entity_words = {
-            t: [f"{spec.language_id}:{t.lower()}{ent_perms[t][i]}" for i in range(N_ENTITY_WORDS)]
-            for t in ENTITY_TYPES
-        }
+    function_words = [f"fw{fw_perm[i]}" for i in range(N_FUNCTION_WORDS)]
+    pool_perm = surface_rng.permutation(N_ENTITY_WORDS * len(ENTITY_TYPES))
+    entity_words = {
+        t: [f"ew{pool_perm[ti * N_ENTITY_WORDS + i]}" for i in range(N_ENTITY_WORDS)]
+        for ti, t in enumerate(ENTITY_TYPES)
+    }
     plain_fws = [w for i, w in enumerate(function_words) if i not in TRIGGERS.values()]
 
     corpus = Corpus()
@@ -244,6 +228,45 @@ def generate_language(spec: SyntheticLanguageSpec, n_sentences: int) -> Corpus:
                 labels.append("O")
         corpus.sequences.append(TaggedSequence(tokens[:length], repair_bio(labels[:length])[0]))
     return corpus
+
+
+@dataclass
+class SyntheticFamily:
+    """The ``data.synthetic`` config section: one family of synthetic languages.
+
+    Language i of ``sources + targets`` is generated from seed
+    ``family_seed * 1000 + i``, so the names must be distinct.
+    """
+
+    sources: list = field(default_factory=lambda: ["srcA", "srcB"])
+    targets: list = field(default_factory=lambda: ["tgtX", "tgtY", "tgtZ"])
+    n_sentences_source: int = 1200
+    n_sentences_target: int = 800
+    entity_rate: float = SyntheticLanguageSpec.entity_rate
+    mean_sentence_length: float = SyntheticLanguageSpec.mean_sentence_length
+    family_seed: int = 7
+
+    def __post_init__(self):
+        check_ranges(self, {"n_sentences_source": 1, "n_sentences_target": 1})
+        languages = self.sources + self.targets
+        if len(set(languages)) != len(languages):
+            raise ValueError(f"sources and targets must be distinct names (got {languages})")
+        self._specs()   # the specs check entity_rate and mean_sentence_length
+
+    def _specs(self) -> dict:
+        return {lang: SyntheticLanguageSpec(lang, self.family_seed * 1000 + i,
+                                            self.entity_rate, self.mean_sentence_length)
+                for i, lang in enumerate(self.sources + self.targets)}
+
+    def corpora(self, max_seq_len: int | None = None):
+        """(source corpora, target corpora) by language, truncated to ``max_seq_len``."""
+        specs = self._specs()
+
+        def generate(lang, n):
+            return truncate_corpus(generate_language(specs[lang], n), max_seq_len)
+
+        return ({lang: generate(lang, self.n_sentences_source) for lang in self.sources},
+                {lang: generate(lang, self.n_sentences_target) for lang in self.targets})
 
 
 # --- vocabulary and task assembly -----------------------------------------

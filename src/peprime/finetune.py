@@ -129,16 +129,15 @@ def micro_f1(gold_sequences, pred_sequences) -> EvalReport:
     return EvalReport(precision, recall, f1, per_type_gold, per_type_pred)
 
 
-def predict_corpus(model: PartitionedModel, corpus: Corpus, vocab: Vocab,
-                   head: str = TARGET_HEAD):
-    """Predicted labels per sequence, in corpus order, one padded batch per chunk."""
+def predict_corpus(model: PartitionedModel, corpus: Corpus, vocab: Vocab):
+    """Target-head labels per sequence, in corpus order, one padded batch per chunk."""
     preds, seqs = [], list(corpus)
     max_len = model.config.max_seq_len
     for lo in range(0, len(seqs), PREDICT_CHUNK):
         chunk = seqs[lo:lo + PREDICT_CHUNK]
         ids = [vocab.encode_tokens(seq.tokens[:max_len]) for seq in chunk]
         mask = pad_rows([np.ones(len(i), dtype=bool) for i in ids], False)
-        label_ids = model.predict(pad_rows(ids, 0), mask, head)
+        label_ids = model.predict(pad_rows(ids, 0), mask, TARGET_HEAD)
         for seq, row, n in zip(chunk, label_ids, map(len, ids)):
             labels = [LABELS[i] for i in row[:n]]
             labels += ["O"] * (len(seq.tokens) - n)  # truncated tail predicts O

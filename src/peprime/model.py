@@ -5,8 +5,9 @@ down-project / nonlinearity / up-project block after the final encoder
 layer) is tagged LIGHTWEIGHT, and each task head (one linear layer) is
 tagged HEAD. Logits for a sequence are head(adapter(encoder(tokens))).
 
-The adapter carries a residual connection by default, so a zero adapter
-is exactly the identity map on hidden states.
+The adapter is the bottleneck of Houlsby et al. (2019): ReLU between the
+projections and a residual connection around them, so a zero adapter is
+exactly the identity map on hidden states.
 
 Frozen partitions: ``PartitionedModel.freeze(partitions)`` is the one
 place that states which partitions do not train; nothing is frozen by
@@ -59,16 +60,12 @@ class ModelConfig:
     max_seq_len: int = 32
     n_labels: int = 7
     adapter_bottleneck: int = 8
-    adapter_nonlinearity: str = "relu"  # relu | gelu
-    adapter_residual: bool = True
 
     def __post_init__(self):
         ad.check_ranges(self, {"d_model": 1, "n_layers": 1, "n_heads": 1, "d_ff": 1,
                                "max_seq_len": 1, "n_labels": 2, "adapter_bottleneck": 1})
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.adapter_nonlinearity not in ("relu", "gelu"):
-            raise ValueError(f"unknown adapter nonlinearity {self.adapter_nonlinearity!r}")
 
     def hash(self) -> str:
         return ad.stable_hash(asdict(self))
@@ -111,19 +108,12 @@ class PartitionedModel:
             reg.add(f"{pre}.ln2.g", np.ones(c.d_model), Partition.PRETRAINED)
             reg.add(f"{pre}.ln2.b", np.zeros(c.d_model), Partition.PRETRAINED)
         if has_adapter:
-            self.init_adapter(rng)
-
-    def init_adapter(self, rng):
-        """Near-identity start: small noise on down-project, zeros on up-project."""
-        c = self.config
-        reg = self.registry
-        for pid in ("adapter.down", "adapter.down_b", "adapter.up", "adapter.up_b"):
-            if pid in reg:
-                raise ad.ContractError("adapter already initialized")
-        reg.add("adapter.down", rng.uniform(-1e-2, 1e-2, (c.d_model, c.adapter_bottleneck)), Partition.LIGHTWEIGHT)
-        reg.add("adapter.down_b", np.zeros(c.adapter_bottleneck), Partition.LIGHTWEIGHT)
-        reg.add("adapter.up", np.zeros((c.adapter_bottleneck, c.d_model)), Partition.LIGHTWEIGHT)
-        reg.add("adapter.up_b", np.zeros(c.d_model), Partition.LIGHTWEIGHT)
+            # near-identity start: small noise on down-project, zeros on up-project
+            reg.add("adapter.down", rng.uniform(-1e-2, 1e-2, (c.d_model, c.adapter_bottleneck)),
+                    Partition.LIGHTWEIGHT)
+            reg.add("adapter.down_b", np.zeros(c.adapter_bottleneck), Partition.LIGHTWEIGHT)
+            reg.add("adapter.up", np.zeros((c.adapter_bottleneck, c.d_model)), Partition.LIGHTWEIGHT)
+            reg.add("adapter.up_b", np.zeros(c.d_model), Partition.LIGHTWEIGHT)
 
     def add_head(self, name: str, rng):
         c = self.config
@@ -209,10 +199,8 @@ class PartitionedModel:
         c = self.config
         if hidden.data.shape[-1] != c.d_model:
             raise ad.ShapeMismatchError("adapter", hidden.data.shape, (c.d_model,))
-        z = ad.linear(hidden, leaves["adapter.down"], leaves["adapter.down_b"])
-        z = ad.relu(z) if c.adapter_nonlinearity == "relu" else ad.gelu(z)
-        z = ad.linear(z, leaves["adapter.up"], leaves["adapter.up_b"])
-        return ad.add(hidden, z) if c.adapter_residual else z
+        z = ad.relu(ad.linear(hidden, leaves["adapter.down"], leaves["adapter.down_b"]))
+        return ad.add(hidden, ad.linear(z, leaves["adapter.up"], leaves["adapter.up_b"]))
 
     def classify(self, adapted: Var, head: str, leaves) -> Var:
         return ad.linear(adapted, leaves[f"head.{head}.w"], leaves[f"head.{head}.b"])

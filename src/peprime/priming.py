@@ -72,8 +72,9 @@ class PrimingConfig:
 class AdamW:
     """Decoupled-weight-decay Adam on exactly the ids in ``grads``; ``freeze`` says what trains."""
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
-        self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
+    beta1, beta2, eps, weight_decay = 0.9, 0.999, 1e-8, 0.01
+
+    def __init__(self):
         self.step_count = 0
         self.m, self.v = {}, {}
 

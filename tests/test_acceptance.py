@@ -292,7 +292,8 @@ def test_criterion_8_determinism(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
 
-    artifacts = ("primed.ckpt", "prime_log.jsonl", "finetuned.ckpt", "report.jsonl")
+    artifacts = ("primed.ckpt", "prime_log.jsonl", "finetuned.ckpt", "report.jsonl",
+                 "finetune_log.jsonl")
     outs = []
     for run in ("a", "b"):
         out = tmp_path / run

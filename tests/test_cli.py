@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from peprime import autodiff as ad
 from peprime import cli
-from peprime.data import SplitSpec
+from peprime.data import SplitSpec, SyntheticFamily
 from peprime.finetune import FineTuneHyperparams, PretrainConfig
 from peprime.model import ModelConfig, PartitionedModel
 from peprime.priming import PrimingConfig
@@ -107,11 +107,13 @@ class TestConfig:
          "data.synthetic: n_sentences_source must be >= 1"),
         (lambda c: c["data"]["synthetic"].update(n_sentences_target=-2),
          "data.synthetic: n_sentences_target must be >= 1"),
+        (lambda c: c["data"]["synthetic"].update(targets=["sa"]),
+         "data.synthetic: sources and targets must be distinct"),
     ], ids=["str_for_int", "bool_for_int", "str_for_model_int", "str_seed", "no_seeds",
             "int_for_section", "eval_every_0", "batch_size_0", "pretrain_batch_size_0",
             "train_size_0", "negative_steps", "n_heads_0", "n_labels_3",
             "entity_rate_negative", "entity_rate_above_1", "mean_sentence_length_0",
-            "n_sentences_source_0", "n_sentences_target_negative"])
+            "n_sentences_source_0", "n_sentences_target_negative", "language_named_twice"])
     def test_bad_values_fail_cleanly(self, tiny_config, tmp_path, capsys, edit, key):
         cfg = json.loads(tiny_config.read_text())
         edit(cfg)
@@ -150,6 +152,7 @@ class TestConfig:
         for name, obj in sections.items():
             assert all(getattr(obj, k) == v for k, v in cli.DEFAULT_CONFIG[name].items()), name
         assert cli.DEFAULT_CONFIG["data"]["split"] == dataclasses.asdict(SplitSpec())
+        assert cli.DEFAULT_CONFIG["data"]["synthetic"] == dataclasses.asdict(SyntheticFamily())
 
 
 def _leaves(tree, path=()):
@@ -310,6 +313,9 @@ class TestFinetuneCommand:
         rec = json.loads((out / "report.jsonl").read_text())
         assert rec["setting"] == "adapter_tuning" and rec["language"] == "ta"
         assert (out / "finetuned.ckpt").exists()
+        trace = [json.loads(line) for line in (out / "finetune_log.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in trace] == [0, 5]     # steps 5, eval_every 5
+        assert all(set(r) == {"step", "val_f1"} and 0.0 <= r["val_f1"] <= 100.0 for r in trace)
 
     def test_determinism_byte_identical_artifacts(self, tiny_config, tmp_path):
         outs = []

@@ -122,16 +122,6 @@ class TestSyntheticLanguages:
         corpus = D.generate_language(spec, 100)
         assert all(D.is_valid_bio(s.labels) for s in corpus)
 
-    def test_disjoint_surface_vocabularies(self):
-        # fully language-private renaming -> zero shared surface tokens
-        a = D.generate_language(
-            D.SyntheticLanguageSpec("a", seed=1, share_function_words=False,
-                                    entity_sharing="private"), 100)
-        b = D.generate_language(
-            D.SyntheticLanguageSpec("b", seed=2, share_function_words=False,
-                                    entity_sharing="private"), 100)
-        assert a.vocabulary() & b.vocabulary() == set()
-
     def test_pooled_entities_permute_types_across_languages(self):
         # surface tokens overlap, but which type a token belongs to differs
         def type_of_token(corpus):
@@ -146,15 +136,6 @@ class TestSyntheticLanguages:
         shared = set(a) & set(b)
         assert shared
         assert any(a[tok] != b[tok] for tok in shared)
-
-    def test_private_entities_never_leak_across_languages(self):
-        a = D.generate_language(
-            D.SyntheticLanguageSpec("a", seed=1, entity_sharing="private"), 100)
-        b = D.generate_language(
-            D.SyntheticLanguageSpec("b", seed=2, entity_sharing="private"), 100)
-        shared = a.vocabulary() & b.vocabulary()
-        assert shared  # function words stay shared
-        assert all(tok.startswith("fw") for tok in shared)
 
     def test_entities_follow_their_trigger(self):
         spec = D.SyntheticLanguageSpec("a", seed=4)

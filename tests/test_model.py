@@ -115,17 +115,8 @@ class TestAdapter:
         out = m.adapt(Var(h), m.registry.leaf_vars())
         np.testing.assert_array_equal(out.data, h)
 
-    def test_zero_adapter_without_residual_is_zero(self):
-        cfg = ModelConfig(vocab_size=20, adapter_residual=False)
-        m = PartitionedModel(cfg, seed=0)
-        self.zero_adapter(m)
-        h = np.random.default_rng(0).normal(size=(4, cfg.d_model))
-        out = m.adapt(Var(h), m.registry.leaf_vars())
-        np.testing.assert_array_equal(out.data, np.zeros_like(h))
-
     def test_hand_computed_bottleneck(self):
-        cfg = ModelConfig(vocab_size=20, d_model=4, n_heads=1, adapter_bottleneck=2,
-                          adapter_residual=False)
+        cfg = ModelConfig(vocab_size=20, d_model=4, n_heads=1, adapter_bottleneck=2)
         m = PartitionedModel(cfg, seed=0)
         rng = np.random.default_rng(3)
         down = rng.normal(size=(4, 2))
@@ -134,7 +125,7 @@ class TestAdapter:
         m.registry["adapter.up"].value.data = up
         h = rng.normal(size=(2, 4))
         out = m.adapt(Var(h), m.registry.leaf_vars())
-        expected = np.maximum(h @ down, 0.0) @ up
+        expected = h + np.maximum(h @ down, 0.0) @ up
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_width_mismatch(self, small_model):

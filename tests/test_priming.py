@@ -333,7 +333,7 @@ class TestAdamW:
         theta0 = np.array([1.0, -2.0])
         reg.add("w", theta0.copy(), Partition.HEAD)
         g = np.array([0.3, -0.1])
-        opt = AdamW(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
+        opt = AdamW()
         opt.step(reg, {"w": g}, lr=0.1)
         m_hat = (0.1 * g) / (1 - 0.9)
         v_hat = (0.001 * g * g) / (1 - 0.999)
