@@ -512,10 +512,12 @@ class ParameterRegistry:
 # --- checkpoint container -------------------------------------------------
 #
 # Layout: magic 'PPCK' | u32 version | u64 header_len | header JSON (utf-8)
-# | concatenated little-endian float64 buffers in header order.
+# | concatenated little-endian float64 buffers in header order
+# | sha256 of every preceding byte (32 bytes).
 
 _CKPT_MAGIC = b"PPCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+_CKPT_DIGEST = 32
 
 
 class CheckpointError(RuntimeError):
@@ -531,12 +533,11 @@ def save_checkpoint(registry: ParameterRegistry, path, config_hash: str):
         {"format_version": _CKPT_VERSION, "config_hash": config_hash, "params": entries},
         sort_keys=True,
     ).encode("utf-8")
+    blob = b"".join([_CKPT_MAGIC, struct.pack("<IQ", _CKPT_VERSION, len(header)), header]
+                    + [np.ascontiguousarray(p.value.data, dtype="<f8").tobytes() for p in registry])
     with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<IQ", _CKPT_VERSION, len(header)))
-        f.write(header)
-        for p in registry:
-            f.write(np.ascontiguousarray(p.value.data, dtype="<f8").tobytes())
+        f.write(blob)
+        f.write(hashlib.sha256(blob).digest())
 
 
 def load_checkpoint(path, expected_config_hash: str | None = None) -> ParameterRegistry:
@@ -569,10 +570,12 @@ def load_checkpoint(path, expected_config_hash: str | None = None) -> ParameterR
             f"{path}: config hash mismatch "
             f"(checkpoint {config_hash}, expected {expected_config_hash})"
         )
-    expected_len = offset + 8 * sum(math.prod(shape) for shape in shapes)
+    expected_len = offset + 8 * sum(math.prod(shape) for shape in shapes) + _CKPT_DIGEST
     if len(blob) != expected_len:
         kind = "truncated payload" if len(blob) < expected_len else "trailing bytes"
         raise CheckpointError(f"{path}: {kind} ({len(blob)} bytes, expected {expected_len})")
+    if hashlib.sha256(blob[:-_CKPT_DIGEST]).digest() != blob[-_CKPT_DIGEST:]:
+        raise CheckpointError(f"{path}: checksum mismatch")
     reg = ParameterRegistry()
     for pid, shape, partition in zip(ids, shapes, partitions):
         n = math.prod(shape)

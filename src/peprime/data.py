@@ -181,7 +181,6 @@ TRIGGERS = {"PER": 0, "ORG": 1, "LOC": 2}   # function-word index announcing eac
 
 @dataclass(frozen=True)
 class SyntheticLanguageSpec:
-    language_id: str
     seed: int
     entity_rate: float = 0.3
     mean_sentence_length: float = 9.0
@@ -254,8 +253,8 @@ class SyntheticFamily:
         self._specs()   # the specs check entity_rate and mean_sentence_length
 
     def _specs(self) -> dict:
-        return {lang: SyntheticLanguageSpec(lang, self.family_seed * 1000 + i,
-                                            self.entity_rate, self.mean_sentence_length)
+        return {lang: SyntheticLanguageSpec(self.family_seed * 1000 + i, self.entity_rate,
+                                            self.mean_sentence_length)
                 for i, lang in enumerate(self.sources + self.targets)}
 
     def corpora(self, max_seq_len: int | None = None):

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Partition
 from .data import Corpus, LABELS, Vocab, bio_spans, minibatches
-from .model import PartitionedModel, count_trainable_fraction, pad_rows
+from .model import PartitionedModel, count_trainable_fraction
 from .priming import AdamW, PrimingConfig, adamw_step, prime, ft_prime
 
 TARGET_HEAD = "target"
@@ -136,11 +136,9 @@ def predict_corpus(model: PartitionedModel, corpus: Corpus, vocab: Vocab):
     for lo in range(0, len(seqs), PREDICT_CHUNK):
         chunk = seqs[lo:lo + PREDICT_CHUNK]
         ids = [vocab.encode_tokens(seq.tokens[:max_len]) for seq in chunk]
-        mask = pad_rows([np.ones(len(i), dtype=bool) for i in ids], False)
-        label_ids = model.predict(pad_rows(ids, 0), mask, TARGET_HEAD)
-        for seq, row, n in zip(chunk, label_ids, map(len, ids)):
-            labels = [LABELS[i] for i in row[:n]]
-            labels += ["O"] * (len(seq.tokens) - n)  # truncated tail predicts O
+        for seq, row in zip(chunk, model.predict(ids, TARGET_HEAD)):
+            labels = [LABELS[i] for i in row]
+            labels += ["O"] * (len(seq.tokens) - len(row))  # truncated tail predicts O
             preds.append(labels)
     return preds
 

@@ -15,22 +15,22 @@ default and ``clone()`` returns an unfrozen copy. Graph leaves of frozen
 partitions do not require a gradient, so backward never enters them, and
 their arrays are read-only: an in-place write raises ``ValueError``,
 replacing one raises ``ContractError``. While the encoder (PRETRAINED) is
-frozen its output is a constant, so each distinct (token ids, pad mask)
-sequence is encoded once and its stored hidden states are reused; freezing
-again drops them.
+frozen its output is a constant, so each distinct (token ids, keep flags)
+sequence is encoded once and its stored hidden states are reused, in
+training and prediction alike; freezing again drops them.
 
-Padded batches: ``encode``, ``logits``, ``batch_loss`` and ``predict``
-build one graph per batch. A batch is token ids and a keep-mask of shape
-``[B, L]`` (L the longest sequence); the encoder returns ``[B, L, d]``,
-padded keys are masked out of attention with an additive ``[B, 1, L]``
-mask, and ``batch_loss`` drops padded positions and labels < 0 from the
-loss through the keep mask, so a kept position's value does not depend on
-what fills the padding. While the encoder is frozen the stored states
-stay per sequence, keyed by its (ids, mask): a batch encodes only the
-sequences not stored yet, as one padded batch, and gathers the rest.
-States from batches of different widths agree to rounding, not bit for
-bit, because the sums run over different lengths. ``predict`` builds its
-leaves with every partition frozen, so a prediction keeps no tape.
+One forward path: ``logits(ids, keep, head)`` takes a list of sequences
+(token ids and keep flags, one pair each), pads them to the longest, L,
+and builds one graph: the encoder returns ``[B, L, d]`` and padded keys
+are masked out of attention with an additive ``[B, 1, L]`` mask, so a kept
+position does not depend on what fills the padding. ``batch_loss`` keeps
+the positions with a label >= 0; ``predict`` keeps all and trims each
+sequence's labels to its length. While the encoder is frozen the states
+are stored per unpadded sequence: a batch encodes only the sequences not
+stored yet, as one padded batch, and gathers the rest. States from
+batches of different widths agree to rounding, not bit for bit, because
+the sums run over different lengths. ``predict`` builds its leaves with
+every partition frozen, so a prediction keeps no tape.
 """
 
 from __future__ import annotations
@@ -205,88 +205,80 @@ class PartitionedModel:
     def classify(self, adapted: Var, head: str, leaves) -> Var:
         return ad.linear(adapted, leaves[f"head.{head}.w"], leaves[f"head.{head}.b"])
 
-    def _adapt_and_classify(self, hidden: Var, head: str, leaves) -> Var:
-        if self.has_adapter:
-            hidden = self.adapt(hidden, leaves)
-        return self.classify(hidden, head, leaves)
+    def _memoized(self, ids, keep, batch, leaves) -> np.ndarray:
+        """Frozen-encoder states ``[B, L, d_model]`` of the (ids, keep) sequences.
 
-    def _memoized(self, seqs, leaves) -> np.ndarray:
-        """Frozen-encoder states ``[B, L, d_model]`` of (ids, mask) sequences, L the longest.
-
-        Each distinct sequence is encoded once, as part of one padded
-        batch of the sequences not seen before, and its states are kept;
-        positions past a sequence's end are zeros.
+        ``batch`` is the same sequences padded to ``[B, L]``. Each distinct
+        sequence is encoded once, as part of one padded batch of the
+        sequences not seen before (their rows of ``batch``), and its states
+        are kept; positions past a sequence's end are zeros.
         """
-        keys = [(ids.tobytes(), mask.tobytes()) for ids, mask in seqs]
+        keys = [(s.tobytes(), k.tobytes()) for s, k in zip(ids, keep)]
         new = {}
-        for key, seq in zip(keys, seqs):
+        for i, key in enumerate(keys):
             if key not in self._encodings:
-                new.setdefault(key, seq)
+                new.setdefault(key, i)
         if new:
-            ids = pad_rows([s[0] for s in new.values()], 0)
-            mask = pad_rows([s[1] for s in new.values()], False)
-            hidden = self.encode(ids, mask, leaves).data
-            for row, (key, (s_ids, _)) in zip(hidden, new.items()):
-                stored = self._encodings[key] = row[:len(s_ids)].copy()
+            rows = list(new.values())
+            width = max(len(ids[i]) for i in rows)
+            hidden = self.encode(batch[0][rows, :width], batch[1][rows, :width], leaves).data
+            for states, (key, i) in zip(hidden, new.items()):
+                stored = self._encodings[key] = states[:len(ids[i])].copy()
                 stored.flags.writeable = False
-        width = max(len(ids) for ids, _ in seqs)
-        out = np.zeros((len(seqs), width, self.config.d_model))
+        out = np.zeros(batch[0].shape + (self.config.d_model,))
         for row, key in zip(out, keys):
             stored = self._encodings[key]
             row[:len(stored)] = stored
         return out
 
-    def logits(self, token_ids, pad_mask, head: str, leaves=None):
+    def logits(self, ids, keep, head: str, leaves=None):
         """Full composition head(adapter(encoder(x))). Returns (logits, leaves).
 
-        ``token_ids`` and ``pad_mask`` are one sequence ``[L]`` or a padded
-        batch ``[B, L]``; logits are ``[..., L, n_labels]``. ``leaves`` must
+        ``ids`` and ``keep`` are lists of 1-d arrays, one pair per sequence:
+        token ids and keep flags of the same length. Both are padded to the
+        longest sequence, so logits are ``[B, L, n_labels]``. ``leaves`` must
         come from this model's registry. While the encoder is frozen, the
-        states of each row are computed once and then fed back as a constant.
+        states of each sequence are computed once and then fed back as a
+        constant.
         """
         self.head_ids(head)
         if leaves is None:
             leaves = self.registry.leaf_vars(self.frozen)
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        pad_mask = np.asarray(pad_mask, dtype=bool)
+        ids = [np.asarray(s, dtype=np.int64) for s in ids]
+        keep = [np.asarray(k, dtype=bool) for k in keep]
+        for s, k in zip(ids, keep, strict=True):
+            if s.shape != k.shape:
+                raise ad.ShapeMismatchError("logits", s.shape, k.shape)
+        batch = pad_rows(ids, 0), pad_rows(keep, False)
         if Partition.PRETRAINED in self.frozen:
-            n = token_ids.shape[-1]
-            rows = list(zip(token_ids.reshape(-1, n), pad_mask.reshape(-1, n)))
-            hidden = self._memoized(rows, leaves).reshape(token_ids.shape + (self.config.d_model,))
-            x = Var(hidden, requires_grad=False)
+            x = Var(self._memoized(ids, keep, batch, leaves), requires_grad=False)
         else:
-            x = self.encode(token_ids, pad_mask, leaves)
-        return self._adapt_and_classify(x, head, leaves), leaves
+            x = self.encode(*batch, leaves)
+        if self.has_adapter:
+            x = self.adapt(x, leaves)
+        return self.classify(x, head, leaves), leaves
 
     def batch_loss(self, batch, head: str):
         """Mean cross-entropy over the labelled tokens of a batch of sequences.
 
-        ``batch`` is a list of (token_ids, label_ids) pairs; positions with
-        a label < 0 are padding. The batch is padded to its longest
-        sequence and run as one graph; padded positions are masked out of
-        attention and dropped from the mean, so every sequence contributes
-        its labelled positions to one shared mean. Returns (loss Var,
-        leaves); leaves of frozen partitions do not require a gradient.
+        ``batch`` is a list of (token_ids, label_ids) pairs of equal length;
+        positions with a label < 0 are masked out of attention (``logits``)
+        and dropped from the one mean that every sequence contributes to.
+        Returns (loss Var, leaves); leaves of frozen partitions do not
+        require a gradient.
         """
-        self.head_ids(head)
-        leaves = self.registry.leaf_vars(self.frozen)
-        ids = [np.asarray(token_ids, dtype=np.int64) for token_ids, _ in batch]
-        labels = pad_rows([np.asarray(label_ids, dtype=np.int64) for _, label_ids in batch], -1)
+        labels = [np.asarray(label_ids, dtype=np.int64) for _, label_ids in batch]
+        logits, leaves = self.logits([token_ids for token_ids, _ in batch],
+                                     [row >= 0 for row in labels], head)
+        labels = pad_rows(labels, -1)
         keep = labels >= 0
-        if Partition.PRETRAINED in self.frozen:
-            seqs = [(s, row[:len(s)]) for s, row in zip(ids, keep)]
-            x = Var(self._memoized(seqs, leaves), requires_grad=False)
-        else:
-            x = self.encode(pad_rows(ids, 0), keep, leaves)
-        logits = self._adapt_and_classify(x, head, leaves)
-        loss = ad.cross_entropy_mean(logits, np.where(keep, labels, 0), keep)
-        return loss, leaves
+        return ad.cross_entropy_mean(logits, np.where(keep, labels, 0), keep), leaves
 
-    def predict(self, token_ids, pad_mask, head: str):
-        """Argmax labels ``[..., L]`` of a padded batch (or one sequence); keeps no tape."""
+    def predict(self, ids, head: str):
+        """Argmax labels of each sequence in the list ``ids``, trimmed to its length; no tape."""
         leaves = self.registry.leaf_vars(tuple(Partition))
-        lg, _ = self.logits(token_ids, pad_mask, head, leaves)
-        return lg.data.argmax(axis=-1)
+        lg, _ = self.logits(ids, [np.ones(len(s), dtype=bool) for s in ids], head, leaves)
+        return [row[:len(s)] for row, s in zip(lg.data.argmax(axis=-1), ids)]
 
 
 def pad_rows(rows, fill):

@@ -79,7 +79,7 @@ class TestConll:
         assert D.is_valid_bio(seq.labels)
 
     def test_synthetic_truncation_counted_and_valid(self):
-        spec = D.SyntheticLanguageSpec("long", seed=5, mean_sentence_length=22.0)
+        spec = D.SyntheticLanguageSpec(seed=5, mean_sentence_length=22.0)
         corpus = D.generate_language(spec, 200)
         lengths = [len(s.tokens) for s in corpus]
         assert D.truncate_corpus(corpus, 32) is corpus
@@ -88,14 +88,14 @@ class TestConll:
         assert all(D.is_valid_bio(s.labels) for s in corpus)
 
     def test_truncation_leaves_fitting_corpus_untouched(self):
-        corpus = D.generate_language(D.SyntheticLanguageSpec("short", seed=5), 50)
+        corpus = D.generate_language(D.SyntheticLanguageSpec(seed=5), 50)
         before = list(corpus.sequences)
         D.truncate_corpus(corpus, 32)
         assert corpus.truncated_sequences == 0
         assert all(a is b for a, b in zip(before, corpus.sequences))
 
     def test_round_trip(self, tmp_path):
-        spec = D.SyntheticLanguageSpec("rt", seed=3)
+        spec = D.SyntheticLanguageSpec(seed=3)
         corpus = D.generate_language(spec, 20)
         p = tmp_path / "rt.conll"
         D.write_conll(corpus, p)
@@ -106,19 +106,19 @@ class TestConll:
 
 class TestSyntheticLanguages:
     def test_same_spec_is_identical(self):
-        spec = D.SyntheticLanguageSpec("a", seed=11)
+        spec = D.SyntheticLanguageSpec(seed=11)
         c1 = D.generate_language(spec, 50)
         c2 = D.generate_language(spec, 50)
         assert [s.tokens for s in c1] == [s.tokens for s in c2]
         assert [s.labels for s in c1] == [s.labels for s in c2]
 
     def test_entity_rate_zero_is_all_outside(self):
-        spec = D.SyntheticLanguageSpec("a", seed=1, entity_rate=0.0)
+        spec = D.SyntheticLanguageSpec(seed=1, entity_rate=0.0)
         corpus = D.generate_language(spec, 30)
         assert all(lab == "O" for s in corpus for lab in s.labels)
 
     def test_generated_bio_is_valid(self):
-        spec = D.SyntheticLanguageSpec("a", seed=2)
+        spec = D.SyntheticLanguageSpec(seed=2)
         corpus = D.generate_language(spec, 100)
         assert all(D.is_valid_bio(s.labels) for s in corpus)
 
@@ -131,14 +131,14 @@ class TestSyntheticLanguages:
                     if lab != "O":
                         mapping[tok] = lab[2:]
             return mapping
-        a = type_of_token(D.generate_language(D.SyntheticLanguageSpec("a", seed=1), 200))
-        b = type_of_token(D.generate_language(D.SyntheticLanguageSpec("b", seed=2), 200))
+        a = type_of_token(D.generate_language(D.SyntheticLanguageSpec(seed=1), 200))
+        b = type_of_token(D.generate_language(D.SyntheticLanguageSpec(seed=2), 200))
         shared = set(a) & set(b)
         assert shared
         assert any(a[tok] != b[tok] for tok in shared)
 
     def test_entities_follow_their_trigger(self):
-        spec = D.SyntheticLanguageSpec("a", seed=4)
+        spec = D.SyntheticLanguageSpec(seed=4)
         corpus = D.generate_language(spec, 100)
         fw_perm_trigger_ids = None
         for seq in corpus:
@@ -159,7 +159,7 @@ class TestVocab:
         assert v.encode_tokens(["never-seen"]).tolist() == [0]
 
     def test_build_is_deterministic_in_corpus_order(self):
-        spec = D.SyntheticLanguageSpec("a", seed=5)
+        spec = D.SyntheticLanguageSpec(seed=5)
         corpus = D.generate_language(spec, 20)
         v1 = D.Vocab.build([corpus])
         v2 = D.Vocab.build([corpus])
@@ -170,7 +170,7 @@ class TestVocab:
 class TestMetaDataset:
     def build(self, n=600):
         corpora = {
-            lang: D.generate_language(D.SyntheticLanguageSpec(lang, seed=i), n)
+            lang: D.generate_language(D.SyntheticLanguageSpec(seed=i), n)
             for i, lang in enumerate(("src_a", "src_b"))
         }
         vocab = D.Vocab.build(corpora.values())

@@ -154,7 +154,7 @@ class TestSettings:
 
 
 def tiny_setup():
-    spec = D.SyntheticLanguageSpec("t", seed=9)
+    spec = D.SyntheticLanguageSpec(seed=9)
     corpus = D.generate_language(spec, 80)
     vocab = D.Vocab.build([corpus])
     split = D.SplitSpec(train_size=40, val_size=20, test_size=20)
@@ -272,7 +272,7 @@ class TestFinetune:
         expected = []
         for seq in corpus:
             ids = vocab.encode_tokens(seq.tokens[:cfg.max_seq_len])
-            labels = [D.LABELS[i] for i in model.predict(ids, np.ones(len(ids), bool), TARGET_HEAD)]
+            labels = [D.LABELS[i] for i in model.predict([ids], TARGET_HEAD)[0]]
             expected.append(labels + ["O"] * (len(seq.tokens) - len(labels)))
         assert predict_corpus(model, corpus, vocab) == expected
 

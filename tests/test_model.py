@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from peprime.model import (
     PartitionedModel,
     count_trainable_fraction,
     format_fraction_percent,
-    pad_rows,
 )
 from test_autodiff import zero_fill_accum
 
@@ -142,8 +143,8 @@ class TestAdapter:
         with_adapter.add_head("t", np.random.default_rng(11))
         without.add_head("t", np.random.default_rng(11))
         ids = rng.integers(2, 40, 6)
-        la, _ = with_adapter.logits(ids, np.ones(6, bool), "t")
-        lb, _ = without.logits(ids, np.ones(6, bool), "t")
+        la, _ = with_adapter.logits([ids], [np.ones(6, bool)], "t")
+        lb, _ = without.logits([ids], [np.ones(6, bool)], "t")
         np.testing.assert_array_equal(la.data, lb.data)
 
 
@@ -159,8 +160,8 @@ class TestClassify:
     def test_bio_label_scheme_width(self):
         m = PartitionedModel(ModelConfig(vocab_size=30), seed=0)
         m.add_head("t", np.random.default_rng(0))
-        lg, _ = m.logits(np.array([2, 3]), np.ones(2, bool), "t")
-        assert lg.data.shape == (2, 7)
+        lg, _ = m.logits([np.array([2, 3])], [np.ones(2, bool)], "t")
+        assert lg.data.shape == (1, 2, 7)
 
     def test_identity_like_head_on_one_hot(self):
         cfg = ModelConfig(vocab_size=10, d_model=8, n_heads=1, n_labels=4)
@@ -177,7 +178,7 @@ class TestClassify:
 
     def test_unknown_head_rejected(self, small_model):
         with pytest.raises(KeyError, match="nope"):
-            small_model.logits(np.array([2]), np.ones(1, bool), "nope")
+            small_model.logits([np.array([2])], [np.ones(1, bool)], "nope")
 
 
 def fresh_model():
@@ -220,17 +221,17 @@ class TestFreeze:
         m = fresh_model()
         ids = np.array([5, 9, 2, 17, 30, 8])
         mask = np.array([True, True, True, True, False, False])
-        fresh = m.logits(ids, mask, "t")[0].data
+        fresh = m.logits([ids], [mask], "t")[0].data
         calls = self.count_encodes(m, monkeypatch)
         m.freeze((Partition.PRETRAINED,))
-        first = m.logits(ids, mask, "t")[0].data
-        second = m.logits(ids, mask, "t")[0].data
+        first = m.logits([ids], [mask], "t")[0].data
+        second = m.logits([ids], [mask], "t")[0].data
         assert first.tobytes() == fresh.tobytes() == second.tobytes()
         assert len(calls) == 1
-        m.logits(ids, np.ones(6, bool), "t")        # another pad mask is another input
+        m.logits([ids], [np.ones(6, bool)], "t")    # another keep mask is another input
         assert len(calls) == 2
         m.freeze((Partition.PRETRAINED,))           # freezing again drops the memo
-        again = m.logits(ids, mask, "t")[0].data
+        again = m.logits([ids], [mask], "t")[0].data
         assert len(calls) == 3 and again.tobytes() == fresh.tobytes()
 
     def test_frozen_adapter_alone_does_not_memoize(self, monkeypatch):
@@ -238,9 +239,19 @@ class TestFreeze:
         calls = self.count_encodes(m, monkeypatch)
         m.freeze((Partition.LIGHTWEIGHT,))
         ids = np.array([3, 4, 5])
-        m.logits(ids, np.ones(3, bool), "t")
-        m.logits(ids, np.ones(3, bool), "t")
+        m.logits([ids], [np.ones(3, bool)], "t")
+        m.logits([ids], [np.ones(3, bool)], "t")
         assert len(calls) == 2
+
+    def test_prediction_and_training_share_one_memo_key(self, monkeypatch):
+        m = fresh_model()
+        m.freeze((Partition.PRETRAINED,))
+        calls = self.count_encodes(m, monkeypatch)
+        rng = np.random.default_rng(7)
+        short, long_ = rng.integers(2, 60, 4), rng.integers(2, 60, 9)
+        m.predict([short, long_], "t")              # the short one is padded to 9 here
+        m.batch_loss([(short, rng.integers(0, 7, 4))], "t")
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("frozen", [
         (Partition.PRETRAINED,),
@@ -347,21 +358,19 @@ class TestBatchedEngine:
         mask[0, 5:] = mask[2, 3:] = False
         other = np.where(mask, ids, rng.integers(2, 60, ids.shape))
         assert (other != ids).any()
-        a = m.logits(ids, mask, "t")[0].data
-        b = m.logits(other, mask, "t")[0].data
+        a = m.logits(list(ids), list(mask), "t")[0].data
+        b = m.logits(list(other), list(mask), "t")[0].data
         assert a[mask].tobytes() == b[mask].tobytes()
 
     def test_sequence_batched_with_a_longer_one_matches_solo(self):
         m = fresh_model()
         rng = np.random.default_rng(5)
         short, long_ = rng.integers(2, 60, 5), rng.integers(2, 60, 13)
-        ids = pad_rows([short, long_], 0)
-        mask = pad_rows([np.ones(5, bool), np.ones(13, bool)], False)
-        batched = m.logits(ids, mask, "t")[0].data
-        solo = m.logits(short, np.ones(5, bool), "t")[0].data
-        np.testing.assert_allclose(batched[0, :5], solo, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(m.predict(ids, mask, "t")[1],
-                                      m.predict(long_, np.ones(13, bool), "t"))
+        batched = m.logits([short, long_], [np.ones(5, bool), np.ones(13, bool)], "t")[0].data
+        solo = m.logits([short], [np.ones(5, bool)], "t")[0].data
+        np.testing.assert_allclose(batched[0, :5], solo[0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(m.predict([short, long_], "t")[1],
+                                      m.predict([long_], "t")[0])
 
     def test_frozen_encoder_encodes_only_new_sequences(self, monkeypatch):
         m = fresh_model()
@@ -379,6 +388,17 @@ class TestBatchedEngine:
         m.batch_loss(batch[::-1], "t")             # all stored
         longest_new = max(len(ids) for ids, _ in batch[2:])
         assert widths == [widths[0], (2, longest_new)]
+
+
+    @pytest.mark.parametrize("n_ids,n_labels", [(5, 3), (3, 5)],
+                             ids=["fewer_labels", "more_labels"])
+    def test_unequal_ids_and_labels_rejected_beside_a_longer_sequence(self, n_ids, n_labels):
+        m = fresh_model()
+        rng = np.random.default_rng(8)
+        batch = [(rng.integers(2, 60, n_ids), rng.integers(0, 7, n_labels)),
+                 (rng.integers(2, 60, 6), rng.integers(0, 7, 6))]
+        with pytest.raises(ad.ShapeMismatchError, match=re.escape(f"(({n_ids},), ({n_labels},))")):
+            m.batch_loss(batch, "t")
 
 
 class TestTrainableFraction:
