@@ -66,8 +66,6 @@ class ShapeMismatchError(ValueError):
     """Raised when operand shapes do not conform for a primitive."""
 
     def __init__(self, primitive, *shapes):
-        self.primitive = primitive
-        self.shapes = shapes
         super().__init__(f"{primitive}: incompatible shapes {shapes}")
 
 
@@ -131,19 +129,6 @@ def add(a: Var, b: Var) -> Var:
             b._accum(_sum_leading(g) if broadcast else g)
 
     return Var(a.data + b.data, (a, b), bwd)
-
-
-def mul(a: Var, b: Var) -> Var:
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatchError("mul", a.data.shape, b.data.shape)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(g * b.data)
-        if b.requires_grad:
-            b._accum(g * a.data)
-
-    return Var(a.data * b.data, (a, b), bwd)
 
 
 def scale(a: Var, c: float) -> Var:
@@ -254,10 +239,6 @@ def gelu(a: Var) -> Var:
         a._accum(d)
 
     return Var(x * phi_cdf, (a,), bwd)
-
-
-def sum_all(a: Var) -> Var:
-    return Var(a.data.sum(), (a,), lambda g: a._accum(np.full_like(a.data, float(g))))
 
 
 def embedding(table: Var, ids) -> Var:
@@ -469,20 +450,11 @@ class ParameterRegistry:
     def __iter__(self):
         return iter(self._params.values())
 
-    def __len__(self):
-        return len(self._params)
-
     def ids(self, partition: Partition | None = None):
         return [
             p.id for p in self._params.values()
             if partition is None or p.partition is partition
         ]
-
-    def n_params(self, partition: Partition | None = None) -> int:
-        return sum(
-            p.value.data.size for p in self._params.values()
-            if partition is None or p.partition is partition
-        )
 
     def leaf_vars(self, frozen=()) -> dict:
         """Fresh graph leaves for every parameter, keyed by id.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -91,15 +92,20 @@ def _validate_config(cfg: dict):
                               "objects (language -> path)")
         problems += [f"unknown key data.conll.{k}" for k in conll
                      if k not in ("sources", "targets")]
+        problems += [f"data.conll.{k} must not be empty" for k in ("sources", "targets")
+                     if not conll[k]]
     if problems:
         raise ConfigError("bad config: " + "; ".join(problems))
 
 
 def _problems(value, default, path: str):
-    """Unknown keys and mistyped values under ``path``; an int passes as a float,
-    a bool never as a number, and list items must have the type of the default's."""
+    """Unknown keys, mistyped values and non-finite floats under ``path``; an int
+    passes as a float, a bool never as a number, and list items must have the
+    type of the default's."""
     if type(value) is not type(default) and not (type(default) is float and type(value) is int):
         yield f"{path or 'the config'} must be {type(default).__name__}, got {json.dumps(value)}"
+    elif type(value) is float and not math.isfinite(value):
+        yield f"{path} must be a finite number, got {value}"
     elif isinstance(default, dict):
         for key, item in value.items():
             where = f"{path}.{key}" if path else key
@@ -189,14 +195,14 @@ def _load_model(path, exp: Experiment) -> PartitionedModel:
 
 def _write_json(obj, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
 def _write_jsonl(records, path):
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+            f.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
 
 
 # --- subcommands ----------------------------------------------------------
@@ -222,6 +228,9 @@ def cmd_prime(args):
                                inner_mode=args.inner_mode or exp.priming.inner_mode)
     if args.init_checkpoint:
         base = _load_model(args.init_checkpoint, exp)
+        if not base.has_adapter:
+            raise ad.ContractError(f"{args.init_checkpoint}: priming needs a model with an "
+                                   f"adapter, and this checkpoint has none")
     else:
         base = PartitionedModel(exp.model_config, seed=seed)
         for pid, arr in pretrained_encoder(exp, seed).items():
@@ -281,19 +290,20 @@ def cmd_matrix(args):
 
 
 def _read_records(path) -> list:
-    """The records of a result JSONL file; each line must be an object with
-    string ``setting`` and ``language`` and a numeric ``f1``."""
+    """The records of a result JSONL file; each line must be an object with a
+    known ``setting``, a string ``language`` and a finite numeric ``f1``."""
     records = []
     with open(path, encoding="utf-8") as f:
         for n, line in enumerate(f, 1):
             if not line.strip():
                 continue
             rec = json.loads(line)
-            if not (isinstance(rec, dict) and isinstance(rec.get("setting"), str)
+            if not (isinstance(rec, dict) and rec.get("setting") in SETTING_ORDER
                     and isinstance(rec.get("language"), str)
-                    and type(rec.get("f1")) in (int, float)):
+                    and type(rec.get("f1")) in (int, float) and math.isfinite(rec["f1"])):
                 raise ValueError(f"{path} line {n}: a result record must be an object with "
-                                 f"string 'setting' and 'language' and a numeric 'f1'")
+                                 f"a 'setting' in {SETTING_ORDER}, a string 'language' "
+                                 f"and a finite numeric 'f1'")
             records.append(rec)
     return records
 

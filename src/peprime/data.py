@@ -52,28 +52,12 @@ class Corpus:
     def __iter__(self):
         return iter(self.sequences)
 
-    def vocabulary(self):
-        return {tok for seq in self.sequences for tok in seq.tokens}
-
     def span_type_counts(self):
         counts = {t: 0 for t in ENTITY_TYPES}
         for seq in self.sequences:
             for etype, _, _ in bio_spans(seq.labels):
                 counts[etype] += 1
         return counts
-
-
-def is_valid_bio(labels) -> bool:
-    prev = "O"
-    for lab in labels:
-        if lab not in LABEL_TO_ID:
-            return False
-        if lab.startswith("I-"):
-            etype = lab[2:]
-            if prev not in (f"B-{etype}", f"I-{etype}"):
-                return False
-        prev = lab
-    return True
 
 
 def repair_bio(labels):

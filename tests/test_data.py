@@ -15,24 +15,36 @@ Alps\tB-LOC
 """
 
 
+def is_valid_bio(labels) -> bool:
+    """Every label is known and every I-X follows a B-X or an I-X."""
+    prev = "O"
+    for lab in labels:
+        if lab not in D.LABEL_TO_ID:
+            return False
+        if lab.startswith("I-") and prev not in (f"B-{lab[2:]}", f"I-{lab[2:]}"):
+            return False
+        prev = lab
+    return True
+
+
 class TestBio:
     def test_valid_sequences(self):
-        assert D.is_valid_bio(["O", "B-PER", "I-PER", "O", "B-LOC"])
-        assert not D.is_valid_bio(["O", "I-PER"])
-        assert not D.is_valid_bio(["B-PER", "I-LOC"])
-        assert not D.is_valid_bio(["B-XYZ"])
+        assert is_valid_bio(["O", "B-PER", "I-PER", "O", "B-LOC"])
+        assert not is_valid_bio(["O", "I-PER"])
+        assert not is_valid_bio(["B-PER", "I-LOC"])
+        assert not is_valid_bio(["B-XYZ"])
 
     def test_repair_relabels_orphan_inside(self):
         fixed, n = D.repair_bio(["I-PER", "I-PER", "O", "B-LOC", "I-PER"])
         assert fixed == ["B-PER", "I-PER", "O", "B-LOC", "B-PER"]
         assert n == 2
-        assert D.is_valid_bio(fixed)
+        assert is_valid_bio(fixed)
 
     @given(st.lists(st.sampled_from(D.LABELS), min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)
     def test_repair_always_yields_valid_bio(self, labels):
         fixed, _ = D.repair_bio(labels)
-        assert D.is_valid_bio(fixed)
+        assert is_valid_bio(fixed)
 
 
 class TestConll:
@@ -76,7 +88,7 @@ class TestConll:
         assert corpus.truncated_sequences == 1
         seq = corpus.sequences[0]
         assert len(seq.tokens) == 5
-        assert D.is_valid_bio(seq.labels)
+        assert is_valid_bio(seq.labels)
 
     def test_synthetic_truncation_counted_and_valid(self):
         spec = D.SyntheticLanguageSpec(seed=5, mean_sentence_length=22.0)
@@ -85,7 +97,7 @@ class TestConll:
         assert D.truncate_corpus(corpus, 32) is corpus
         assert corpus.truncated_sequences == sum(n > 32 for n in lengths) > 0
         assert [len(s.tokens) for s in corpus] == [min(n, 32) for n in lengths]
-        assert all(D.is_valid_bio(s.labels) for s in corpus)
+        assert all(is_valid_bio(s.labels) for s in corpus)
 
     def test_truncation_leaves_fitting_corpus_untouched(self):
         corpus = D.generate_language(D.SyntheticLanguageSpec(seed=5), 50)
@@ -120,7 +132,7 @@ class TestSyntheticLanguages:
     def test_generated_bio_is_valid(self):
         spec = D.SyntheticLanguageSpec(seed=2)
         corpus = D.generate_language(spec, 100)
-        assert all(D.is_valid_bio(s.labels) for s in corpus)
+        assert all(is_valid_bio(s.labels) for s in corpus)
 
     def test_pooled_entities_permute_types_across_languages(self):
         # surface tokens overlap, but which type a token belongs to differs
@@ -163,7 +175,7 @@ class TestVocab:
         corpus = D.generate_language(spec, 20)
         v1 = D.Vocab.build([corpus])
         v2 = D.Vocab.build([corpus])
-        toks = sorted(corpus.vocabulary())
+        toks = sorted({tok for seq in corpus for tok in seq.tokens})
         np.testing.assert_array_equal(v1.encode_tokens(toks), v2.encode_tokens(toks))
 
 

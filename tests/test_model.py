@@ -52,7 +52,9 @@ class TestPartitions:
 
     def test_partition_sums_to_total(self, small_model):
         reg = small_model.registry
-        assert reg.n_params() == sum(reg.n_params(p) for p in ALL_PARTITIONS)
+        size = {p.id: p.value.data.size for p in reg}
+        assert sum(size.values()) == sum(size[pid] for part in ALL_PARTITIONS
+                                         for pid in reg.ids(part))
 
     def test_adapter_disjoint_from_encoder(self, small_model):
         reg = small_model.registry
@@ -177,7 +179,7 @@ class TestClassify:
         assert out.data.argmax() == 2
 
     def test_unknown_head_rejected(self, small_model):
-        with pytest.raises(KeyError, match="nope"):
+        with pytest.raises(ad.ContractError, match="nope"):
             small_model.logits([np.array([2])], [np.ones(1, bool)], "nope")
 
 
@@ -422,9 +424,9 @@ class TestTrainableFraction:
         m.add_head("t", np.random.default_rng(0))
         reg = m.registry
         frac = count_trainable_fraction(cfg, (Partition.LIGHTWEIGHT, Partition.HEAD))
-        got = (reg.n_params(Partition.LIGHTWEIGHT) + reg.n_params(Partition.HEAD))
+        got = sum(p.value.data.size for p in reg if p.partition is not Partition.PRETRAINED)
         assert frac.numerator == got
-        assert frac.denominator == reg.n_params()
+        assert frac.denominator == sum(p.value.data.size for p in reg)
 
 
 def desk_model():

@@ -17,6 +17,8 @@ from peprime.priming import (
     sgd_step,
 )
 
+from graph_helpers import mul, sum_all
+
 
 class QuadraticModel:
     """Scalar toy with loss 0.5*(theta_a^2 + theta_p^2 + theta_h^2)."""
@@ -50,7 +52,7 @@ class QuadraticModel:
         leaves = self.registry.leaf_vars(self.frozen)
         total = None
         for v in leaves.values():
-            term = ad.scale(ad.sum_all(ad.mul(v, v)), 0.5)
+            term = ad.scale(sum_all(mul(v, v)), 0.5)
             total = term if total is None else ad.add(total, term)
         return total, leaves
 
