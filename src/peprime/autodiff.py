@@ -1,8 +1,9 @@
 """Dense-tensor math with tape-based reverse-mode differentiation.
 
-Everything is float64. A forward pass builds a graph of ``Var`` nodes;
-``backward`` walks it once in reverse topological order and accumulates
-gradients into ``Var.grad``. Parameters live in a ``ParameterRegistry``
+Everything is float64. A forward pass returns ``Var``s, each a value and
+a tape ``Node``; ``backward`` walks the nodes once in reverse topological
+order and accumulates gradients into ``Node.grad``, which ``Var.grad``
+reads. Parameters live in a ``ParameterRegistry``
 keyed by stable string ids, each tagged with the partition it belongs to
 (PRETRAINED / LIGHTWEIGHT / HEAD).
 
@@ -17,18 +18,31 @@ attention drops padded keys through an additive mask to
 through its keep mask. 2-d inputs give the same results as a graph
 built for one sequence.
 
-Every ``Var`` carries ``requires_grad``. A leaf sets it (default true); any
+Every node carries ``requires_grad``. A leaf sets it (default true); any
 other node requires a gradient iff one of its parents does. ``backward``
 visits only nodes that require a gradient, and each backward closure skips
 the operands that do not, so a frozen partition costs no backward work.
 The gradients of the nodes that do require one are computed by the same
 ops in the same order as in a full backward, so they are bit-identical.
 
-No tape is kept where no gradient can flow: a node that requires none
-keeps neither its parents nor its backward closure, so a forward pass
-whose leaves are all frozen frees each intermediate as soon as it is
-used. ``backward`` drops an inner node's ``.grad`` once it has passed it
-on; only leaves keep theirs.
+A node never holds a value. Its backward closure holds the parents'
+nodes and exactly the arrays that backward reads: ``matmul`` and
+``linear`` their two operands, ``relu`` and ``gelu`` their input (``gelu``
+also Phi of it), ``softmax_rows`` its output, ``layer_norm`` the
+normalized input, the inverse deviation and the gain, and
+``cross_entropy_mean`` the log-probabilities and the masks. ``add``,
+``scale``, ``transpose`` and ``concat_cols`` save no array, and
+``slice_cols`` and ``embedding`` only a shape. So a value that no backward
+reads (a head's attention scores, a residual sum, the logits) is freed as
+soon as the forward code drops its ``Var``.
+
+No tape is kept where no gradient can flow: every ``Var`` that requires
+none shares the one node ``NO_GRAD``, which keeps neither parents nor a
+closure, so a forward pass whose leaves are all frozen frees each
+intermediate as soon as it is used. ``backward`` drops an inner node's
+``.grad`` once it has passed it on; only leaves keep theirs. It leaves
+the graph whole: the graph, and every array it saved, lives until the
+caller drops the loss.
 
 ``grads_for`` returns an entry for every leaf that requires a gradient
 (all zeros when the leaf is off the loss's tape) and none for the others.
@@ -38,7 +52,8 @@ reference and sums each later one into a new array, so one gradient array
 may be shared between nodes (``add`` hands the same array to both
 operands; ``transpose`` and ``concat_cols`` pass views). A gradient array
 is therefore never written in place: a backward that needs a buffer
-(``slice_cols``, ``embedding``) allocates its own and passes it on.
+(``slice_cols``, ``embedding``) allocates its own, from the shape it
+saved, and passes it on.
 Forward kernels write in place only into arrays they allocated.
 
 ``linear(x, w, b)`` is ``add(matmul(x, w), b)`` as one node, with the
@@ -48,6 +63,7 @@ bit; the model's projections use it.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import hashlib
 import json
@@ -60,6 +76,30 @@ from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc's mallopt parameters
+
+
+def _keep_freed_heap():
+    """Ask glibc to keep freed memory in the heap rather than hand it back.
+
+    Each training step frees graph-sized arrays that the next step or the
+    next prediction allocates again. With glibc's default thresholds the
+    heap top is trimmed in between and its pages are faulted in afresh:
+    pretraining, priming, fine-tuning and evaluation on ``full_long`` took
+    about 59,000 minor page faults, 11,000 of them in prediction. With this
+    setting they take about 4,000, and 1 in prediction, at the same peak
+    RSS. Arrays under 32 MiB come from the heap, and up to 64 MiB of free
+    memory stays at its top. A no-op without glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_heap()
 
 
 class ShapeMismatchError(ValueError):
@@ -79,36 +119,63 @@ class Partition(enum.Enum):
     HEAD = "head"
 
 
-class Var:
-    """One node on the tape: a value, a grad slot, and a backward closure.
+class Node:
+    """The tape half of a ``Var``: a grad slot, and never a value.
 
-    ``requires_grad`` is given for a leaf; a node with parents derives it.
-    A node that requires no gradient keeps neither its parents nor its
-    closure, so a forward pass without trainable leaves holds no tape.
+    A node that requires a gradient and has parents also holds its
+    parents' nodes and its backward closure; the closure holds exactly the
+    arrays that backward reads. Every ``Var`` that requires no gradient
+    shares the one node ``NO_GRAD``, which holds nothing and is never
+    written.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "requires_grad", "parents", "backward")
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=True):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, parents=(), backward=None, requires_grad=True):
         self.grad = None
-        if parents:
-            requires_grad = False
-            for p in parents:
-                if p.requires_grad:
-                    requires_grad = True
-                    break
         self.requires_grad = requires_grad
-        if requires_grad:
-            self._parents = tuple(parents)
-            self._backward = backward
-        else:
-            self._parents = ()
-            self._backward = None
+        self.parents = parents
+        self.backward = backward
 
     def _accum(self, g):
         """Take ``g`` by reference if it is the first gradient, else sum into a new array."""
         self.grad = g if self.grad is None else self.grad + g
+
+
+NO_GRAD = Node(requires_grad=False)
+
+
+class Var:
+    """A value and its tape node.
+
+    ``requires_grad`` is given for a leaf. A result passes its parents'
+    nodes (not their ``Var``s) and its backward closure; it requires a
+    gradient iff one of those nodes does, and otherwise gets ``NO_GRAD``
+    and drops both. The value is referenced only from here, so it is freed
+    when the forward code drops the ``Var``, unless a closure saved it.
+    ``grad`` and ``requires_grad`` read through to the node.
+    """
+
+    __slots__ = ("data", "node")
+
+    def __init__(self, data, parents=(), backward=None, requires_grad=True):
+        self.data = np.asarray(data, dtype=np.float64)
+        if parents:
+            for p in parents:
+                if p.requires_grad:
+                    self.node = Node(tuple(parents), backward)
+                    return
+            self.node = NO_GRAD
+        else:
+            self.node = Node() if requires_grad else NO_GRAD
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
 
 
 def _sum_leading(g):
@@ -121,18 +188,20 @@ def add(a: Var, b: Var) -> Var:
     broadcast = a.data.ndim >= 2 and b.data.ndim == 1 and a.data.shape[-1] == b.data.shape[0]
     if not broadcast and a.data.shape != b.data.shape:
         raise ShapeMismatchError("add", a.data.shape, b.data.shape)
+    an, bn = a.node, b.node
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(_sum_leading(g) if broadcast else g)
+        if an.requires_grad:
+            an._accum(g)
+        if bn.requires_grad:
+            bn._accum(_sum_leading(g) if broadcast else g)
 
-    return Var(a.data + b.data, (a, b), bwd)
+    return Var(a.data + b.data, (an, bn), bwd)
 
 
 def scale(a: Var, c: float) -> Var:
-    return Var(a.data * c, (a,), lambda g: a._accum(g * c))
+    an = a.node
+    return Var(a.data * c, (an,), lambda g: an._accum(g * c))
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -142,17 +211,18 @@ def matmul(a: Var, b: Var) -> Var:
     batched = x.ndim == w.ndim > 2 and x.shape[:-2] == w.shape[:-2]
     if not (shared or batched) or x.shape[-1] != w.shape[-2]:
         raise ShapeMismatchError("matmul", x.shape, w.shape)
+    an, bn = a.node, b.node
 
     def bwd(g):
-        if a.requires_grad:
-            a._accum(g @ w.swapaxes(-1, -2))
-        if b.requires_grad:
+        if an.requires_grad:
+            an._accum(g @ w.swapaxes(-1, -2))
+        if bn.requires_grad:
             if shared:   # the weight's gradient sums over every row of the batch
-                b._accum(x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+                bn._accum(x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
             else:
-                b._accum(x.swapaxes(-1, -2) @ g)
+                bn._accum(x.swapaxes(-1, -2) @ g)
 
-    return Var(x @ w, (a, b), bwd)
+    return Var(x @ w, (an, bn), bwd)
 
 
 def linear(x: Var, w: Var, b: Var) -> Var:
@@ -165,37 +235,40 @@ def linear(x: Var, w: Var, b: Var) -> Var:
         raise ShapeMismatchError("linear", xd.shape, wd.shape, b.data.shape)
     out = xd @ wd
     out += b.data
+    xn, wn, bn = x.node, w.node, b.node
 
     def bwd(g):
-        if b.requires_grad:
-            b._accum(_sum_leading(g))
-        if x.requires_grad:
-            x._accum(g @ wd.T)
-        if w.requires_grad:
-            w._accum(xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        if bn.requires_grad:
+            bn._accum(_sum_leading(g))
+        if xn.requires_grad:
+            xn._accum(g @ wd.T)
+        if wn.requires_grad:
+            wn._accum(xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
-    return Var(out, (x, w, b), bwd)
+    return Var(out, (xn, wn, bn), bwd)
 
 
 def transpose(a: Var) -> Var:
     """Swap the last two axes."""
     if a.data.ndim < 2:
         raise ShapeMismatchError("transpose", a.data.shape)
-    return Var(a.data.swapaxes(-1, -2), (a,),
-               lambda g: a._accum(g.swapaxes(-1, -2)))
+    an = a.node
+    return Var(a.data.swapaxes(-1, -2), (an,), lambda g: an._accum(g.swapaxes(-1, -2)))
 
 
 def slice_cols(a: Var, lo: int, hi: int) -> Var:
     """Columns ``lo:hi`` of the last axis."""
-    if a.data.ndim < 2 or not (0 <= lo < hi <= a.data.shape[-1]):
-        raise ShapeMismatchError("slice_cols", a.data.shape, (lo, hi))
+    shape = a.data.shape
+    if len(shape) < 2 or not (0 <= lo < hi <= shape[-1]):
+        raise ShapeMismatchError("slice_cols", shape, (lo, hi))
+    an = a.node
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[..., lo:hi] = g
-        a._accum(full)
+        an._accum(full)
 
-    return Var(a.data[..., lo:hi], (a,), bwd)
+    return Var(a.data[..., lo:hi], (an,), bwd)
 
 
 def concat_cols(parts) -> Var:
@@ -207,22 +280,24 @@ def concat_cols(parts) -> Var:
     if any(p.data.shape[:-1] != lead for p in parts):
         raise ShapeMismatchError("concat_cols", *[p.data.shape for p in parts])
     offsets = np.cumsum([0] + [p.data.shape[-1] for p in parts])
+    nodes = [p.node for p in parts]
 
     def bwd(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accum(g[..., lo:hi])
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n.requires_grad:
+                n._accum(g[..., lo:hi])
 
-    return Var(np.concatenate([p.data for p in parts], axis=-1), parts, bwd)
+    return Var(np.concatenate([p.data for p in parts], axis=-1), nodes, bwd)
 
 
 def relu(a: Var) -> Var:
-    return Var(np.maximum(a.data, 0.0), (a,), lambda g: a._accum(g * (a.data > 0)))
+    x, an = a.data, a.node
+    return Var(np.maximum(x, 0.0), (an,), lambda g: an._accum(g * (x > 0)))
 
 
 def gelu(a: Var) -> Var:
     # exact erf form; backward uses d/dx [x*Phi(x)] = Phi(x) + x*phi(x)
-    x = a.data
+    x, an = a.data, a.node
     phi_cdf = x * _INV_SQRT2
     erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
@@ -236,27 +311,27 @@ def gelu(a: Var) -> Var:
         d *= x
         d += phi_cdf
         d *= g
-        a._accum(d)
+        an._accum(d)
 
-    return Var(x * phi_cdf, (a,), bwd)
+    return Var(x * phi_cdf, (an,), bwd)
 
 
 def embedding(table: Var, ids) -> Var:
     """Rows of a 2-d ``table`` for integer ``ids`` of any shape: ``ids.shape + (d,)``."""
     ids = np.asarray(ids, dtype=np.int64)
-    if table.data.ndim != 2 or ids.ndim < 1:
-        raise ShapeMismatchError("embedding", table.data.shape, ids.shape)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise ContractError(
-            f"embedding: id out of range [0, {table.data.shape[0]}) in {ids.tolist()}"
-        )
+    shape = table.data.shape
+    if len(shape) != 2 or ids.ndim < 1:
+        raise ShapeMismatchError("embedding", shape, ids.shape)
+    if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
+        raise ContractError(f"embedding: id out of range [0, {shape[0]}) in {ids.tolist()}")
+    tn = table.node
 
     def bwd(g):
-        rows = np.zeros_like(table.data)
+        rows = np.zeros(shape)
         np.add.at(rows, ids, g)
-        table._accum(rows)
+        tn._accum(rows)
 
-    return Var(table.data[ids], (table,), bwd)
+    return Var(table.data[ids], (tn,), bwd)
 
 
 def softmax_rows(a: Var, additive_mask=None) -> Var:
@@ -274,14 +349,15 @@ def softmax_rows(a: Var, additive_mask=None) -> Var:
         s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
+    an = a.node
 
     def bwd(g):
         d = g * s
         d = g - d.sum(axis=-1, keepdims=True)
         d *= s
-        a._accum(d)
+        an._accum(d)
 
-    return Var(s, (a,), bwd)
+    return Var(s, (an,), bwd)
 
 
 def layer_norm(x: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
@@ -301,14 +377,16 @@ def layer_norm(x: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
+    gd = gain.data
+    xn, gn, bn = x.node, gain.node, bias.node
 
     def bwd(g):
-        if gain.requires_grad:
-            gain._accum(_sum_leading(g * xhat))
-        if bias.requires_grad:
-            bias._accum(_sum_leading(g))
-        if x.requires_grad:
-            gy = g * gain.data
+        if gn.requires_grad:
+            gn._accum(_sum_leading(g * xhat))
+        if bn.requires_grad:
+            bn._accum(_sum_leading(g))
+        if xn.requires_grad:
+            gy = g * gd
             t = gy * xhat
             m2 = t.sum(axis=-1, keepdims=True)
             m2 /= n
@@ -318,11 +396,11 @@ def layer_norm(x: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
             np.multiply(xhat, m2, out=t)
             gy -= t
             gy *= inv
-            x._accum(gy)
+            xn._accum(gy)
 
-    out = xhat * gain.data
+    out = xhat * gd
     out += bias.data
-    return Var(out, (x, gain, bias), bwd)
+    return Var(out, (xn, gn, bn), bwd)
 
 
 def cross_entropy_mean(logits: Var, gold, keep_mask=None) -> Var:
@@ -348,27 +426,30 @@ def cross_entropy_mean(logits: Var, gold, keep_mask=None) -> Var:
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     nll = -logp.reshape(-1, n_classes)[rows, gold.reshape(-1)]
+    ln = logits.node
 
     def bwd(g):
         p = np.exp(logp).reshape(-1, n_classes)
         p[rows, gold.reshape(-1)] -= 1.0
         p[~keep_mask.reshape(-1)] = 0.0
-        logits._accum(p.reshape(logp.shape) * (float(g) / n_keep))
+        ln._accum(p.reshape(logp.shape) * (float(g) / n_keep))
 
-    return Var(nll[keep_mask.reshape(-1)].mean(), (logits,), bwd)
+    return Var(nll[keep_mask.reshape(-1)].mean(), (ln,), bwd)
 
 
 def backward(loss: Var) -> None:
     """Reverse sweep from a scalar loss; fills ``.grad`` of the leaves that require one.
 
     An inner node drops its ``.grad`` once it has passed it on, so the
-    sweep holds only the gradients still in flight.
+    sweep holds only the gradients still in flight. The graph itself is
+    left whole: it is freed when the caller drops ``loss``.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if not loss.requires_grad:
+    root = loss.node
+    if not root.requires_grad:
         return
-    order, seen, stack = [], set(), [(loss, False)]
+    order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -378,14 +459,14 @@ def backward(loss: Var) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.asarray(1.0)
+    root.grad = np.asarray(1.0)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-        if node._parents:
+        if node.backward is not None and node.grad is not None:
+            node.backward(node.grad)
+        if node.parents:
             node.grad = None
 
 
@@ -396,8 +477,8 @@ def grads_for(loss: Var, leaves: dict) -> dict:
     """
     backward(loss)
     return {
-        pid: (v.grad if v.grad is not None else np.zeros_like(v.data))
-        for pid, v in leaves.items() if v.requires_grad
+        pid: (v.node.grad if v.node.grad is not None else np.zeros_like(v.data))
+        for pid, v in leaves.items() if v.node.requires_grad
     }
 
 

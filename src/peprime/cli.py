@@ -182,9 +182,13 @@ def _prepare_out(cfg: dict, out: Path) -> Path:
 
 
 def _start(args):
-    """(merged config, output directory holding run_config.json, experiment)."""
+    """(merged config, output directory holding run_config.json, experiment).
+
+    The experiment is built first, so a config it rejects writes nothing.
+    """
     cfg = load_config(args.config)
-    return cfg, _prepare_out(cfg, Path(args.out)), build_experiment(cfg)
+    exp = build_experiment(cfg)
+    return cfg, _prepare_out(cfg, Path(args.out)), exp
 
 
 def _load_model(path, exp: Experiment) -> PartitionedModel:
@@ -209,8 +213,8 @@ def _write_jsonl(records, path):
 
 def cmd_generate_data(args):
     cfg = load_config(args.config)
-    out = _prepare_out(cfg, Path(args.out))
     sources, targets = build_corpora(cfg)
+    out = _prepare_out(cfg, Path(args.out))
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
     for role, corpora in (("source", sources), ("target", targets)):

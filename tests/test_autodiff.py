@@ -330,11 +330,19 @@ class TestBatchedPrimitives:
             ad.linear(x, Var(np.zeros((2, 4, 2))), Var(np.zeros(2)))  # weight not 2-d
 
 
-def zero_fill_accum(self, g):
-    """The slow path ``Var._accum`` replaced: zero-fill a new array, then add in place."""
-    if self.grad is None:
-        self.grad = np.zeros_like(self.data)
-    self.grad += g
+def use_zero_fill(monkeypatch):
+    """Patch ``Node._accum`` to the slow path it replaced: zero-fill a new array, then add
+    in place. Returns a list that gains one entry per patched call."""
+    calls = []
+
+    def zero_fill_accum(node, g):
+        calls.append(None)
+        if node.grad is None:
+            node.grad = np.zeros(np.shape(g))
+        node.grad += g
+
+    monkeypatch.setattr(ad.Node, "_accum", zero_fill_accum)
+    return calls
 
 
 def fan_out_graph(table, w, sib, add_first):
@@ -388,8 +396,9 @@ class TestSharedGradients:
             ad.backward(_scalar_loss(fan_out_graph(*leaves, add_first)))
             return [v.grad.tobytes() for v in leaves]
         fast = grads()
-        monkeypatch.setattr(Var, "_accum", zero_fill_accum)
+        calls = use_zero_fill(monkeypatch)
         assert grads() == fast
+        assert calls
 
     @pytest.mark.parametrize("case", range(len(_batched_cases())),
                              ids=[c[0] for c in _batched_cases()])
@@ -405,8 +414,9 @@ class TestSharedGradients:
             ad.backward(out if out.data.shape == () else _scalar_loss(out))
             return [v.grad for v in leaves]
         fast = [(g + 0.0).tobytes() for g in grads()]
-        monkeypatch.setattr(Var, "_accum", zero_fill_accum)
+        calls = use_zero_fill(monkeypatch)
         assert [g.tobytes() for g in grads()] == fast
+        assert calls
 
 
 class TestNoTape:
@@ -414,7 +424,8 @@ class TestNoTape:
         frozen = [Var(np.ones((2, 3, 3)), requires_grad=False) for _ in range(2)]
         out = ad.softmax_rows(ad.matmul(*frozen))
         assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+        assert out.node is ad.NO_GRAD
+        assert ad.NO_GRAD.parents == () and ad.NO_GRAD.backward is None
 
     def test_no_grad_forward_of_the_model_keeps_no_tape(self):
         model = PartitionedModel(ModelConfig(vocab_size=60), seed=0)
@@ -433,7 +444,8 @@ class TestNoTape:
             lg, _ = model.logits(list(ids), list(ids > 5), "t", leaves)
         finally:
             ad.matmul = matmul
-        assert seen and all(v._parents == () and v._backward is None for v in seen + [lg])
+        assert seen and all(v.node is ad.NO_GRAD for v in seen + [lg])
+        assert ad.NO_GRAD.parents == () and ad.NO_GRAD.backward is None
 
     def test_backward_keeps_only_leaf_grads(self):
         w = Var(np.array([[1.0, 2.0]]))

@@ -130,6 +130,23 @@ class TestConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and key in err["message"]
 
+    @pytest.mark.parametrize("command,edit", [
+        (["prime"], lambda c: c["priming"].update(beta=-1.0)),
+        (["generate-data"], lambda c: c["data"]["synthetic"].update(entity_rate=-1.0)),
+    ], ids=["prime_negative_beta", "generate_data_negative_entity_rate"])
+    def test_rejected_config_writes_no_run_config(self, tiny_config, tmp_path, capsys,
+                                                  command, edit):
+        cfg = json.loads(tiny_config.read_text())
+        edit(cfg)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = run(command + ["--config", path, "--out", out])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
+        assert not (out / "run_config.json").exists()
+
     def test_config_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1]")

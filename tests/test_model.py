@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from peprime.model import (
     count_trainable_fraction,
     format_fraction_percent,
 )
-from test_autodiff import zero_fill_accum
+from graph_helpers import sum_all
+from test_autodiff import use_zero_fill
 
 ALL_PARTITIONS = (Partition.PRETRAINED, Partition.LIGHTWEIGHT, Partition.HEAD)
 
@@ -472,8 +474,9 @@ class TestFastPathOracles:
 
     def test_kept_first_gradient_matches_zero_fill(self, frozen, shape, monkeypatch):
         fast = loss_and_grads(frozen, shape)
-        monkeypatch.setattr(Var, "_accum", zero_fill_accum)
+        calls = use_zero_fill(monkeypatch)
         assert loss_and_grads(frozen, shape) == fast
+        assert calls
 
     def test_linear_matches_add_of_matmul(self, frozen, shape, monkeypatch):
         fast = loss_and_grads(frozen, shape)
@@ -488,6 +491,56 @@ class TestFastPathOracles:
         params = [p.value.data for p in m.registry]
         for i, g in enumerate(grads):
             assert not any(np.shares_memory(g, other) for other in grads[i + 1:] + params)
+
+
+PRIMITIVES = ("add", "linear", "matmul", "scale", "transpose", "slice_cols", "concat_cols",
+              "relu", "gelu", "embedding", "softmax_rows", "layer_norm", "cross_entropy_mean")
+
+
+class TestMemoryContract:
+    """A value no backward reads is freed with its ``Var``; a saved one lives with the graph."""
+
+    def test_freed_values_change_no_gradient(self, monkeypatch):
+        # the slow path: a spy keeps every forward Var, so no value is ever freed
+        def loss_and_grads():
+            loss, leaves = desk_model().batch_loss(
+                shaped_batch(np.random.default_rng(16), *BATCH_SHAPES["b8"]), "t")
+            grads = ad.grads_for(loss, leaves)
+            return loss.data.tobytes(), {pid: g.tobytes() for pid, g in grads.items()}
+
+        lean = loss_and_grads()
+        kept = {name: [] for name in PRIMITIVES}
+        for name in PRIMITIVES:
+            def spy(*args, name=name, fn=getattr(ad, name), **kwargs):
+                out = fn(*args, **kwargs)
+                kept[name].append(out)
+                return out
+            monkeypatch.setattr(ad, name, spy)
+        assert loss_and_grads() == lean
+        assert all(kept.values()), [name for name, outs in kept.items() if not outs]
+
+    def test_scores_freed_and_softmax_saved_until_the_graph_goes(self, monkeypatch):
+        m = desk_model()
+        refs = {"matmul": [], "softmax_rows": []}
+        for name in refs:
+            def spy(*args, name=name, fn=getattr(ad, name), **kwargs):
+                out = fn(*args, **kwargs)
+                refs[name].append(weakref.ref(out.data))
+                return out
+            monkeypatch.setattr(ad, name, spy)
+        ids = np.random.default_rng(17).integers(2, 60, (8, 9))
+        leaves = m.registry.leaf_vars()
+        hidden = m.encode(ids, ids > 5, leaves)
+        scores, saved = refs["matmul"][0], refs["softmax_rows"][0]   # layer 0, head 0
+        assert scores() is None         # read by no backward: gone once scale has run
+        assert saved() is not None      # softmax_rows' backward reads its output
+        loss = sum_all(ad.gelu(hidden))
+        del hidden
+        ad.backward(loss)
+        assert saved() is not None      # backward leaves the graph whole
+        assert leaves["enc.0.attn.wq"].grad is not None
+        del loss
+        assert saved() is None
 
 
 def test_linear_makes_one_node_per_projection(monkeypatch):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from peprime import autodiff as ad
+from peprime import cli
 from peprime import data as D
 from peprime.autodiff import Partition
 from peprime.model import PartitionedModel
@@ -245,6 +248,30 @@ class TestOuterStep:
         changed = [pid for pid, arr in before.items()
                    if not np.array_equal(model.registry[pid].value.data, arr)]
         assert changed  # the adapted head of task 1 replaced the shared head
+
+    def test_one_query_graph_alive_at_a_time(self):
+        # The default desk config's first source task, with a query pool of exactly one
+        # batch: every draw is the same 32 sequences, so each query graph has the same
+        # size and a second task can raise the peak only by what outlives the first.
+        exp = cli.build_experiment(cli.DEFAULT_CONFIG)
+        c = exp.priming
+        src = exp.meta_tasks[0]
+        task = D.MetaTask(src.task_id, support=src.support, query=src.query[:c.query_batch_size])
+        model = PartitionedModel(exp.model_config, seed=0)
+        model.add_head(SHARED_HEAD, np.random.default_rng(0))
+
+        def peak(tasks):
+            m = model.clone()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                outer_step(m, tasks, c, AdamW(), c.beta, np.random.default_rng(0))
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        one, two = peak([task]), peak([task, task])
+        assert two <= 1.2 * one, (one, two)
 
 
 class TestPrime:
