@@ -68,8 +68,11 @@ import enum
 import hashlib
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
@@ -450,18 +453,25 @@ def backward(loss: Var) -> None:
     if not root.requires_grad:
         return
     order, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
+    try:
+        while stack:
+            node, done = stack.pop()
+            if done:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for p in node.parents:
+                if p.requires_grad and id(p) not in seen:
+                    stack.append((p, False))
+    except AttributeError:
+        # caught here rather than checked in Var.__init__, which every forward op pays for
+        if isinstance(node, Var):
+            raise ContractError("a Var was passed as a parent: Var(data, parents, backward) "
+                                "takes its parents' nodes (var.node), not their Vars") from None
+        raise
     root.grad = np.asarray(1.0)
     for node in reversed(order):
         if node.backward is not None and node.grad is not None:
@@ -577,6 +587,25 @@ class CheckpointError(RuntimeError):
     pass
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A file opened for writing that replaces ``path`` only when the block ends cleanly.
+
+    It is a temporary file beside ``path``, renamed over it by ``os.replace``.
+    If the block raises, the temporary file is removed and ``path`` keeps its
+    old contents, so no reader sees a partly written file. Text is UTF-8.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(registry: ParameterRegistry, path, config_hash: str):
     entries = [
         {"id": p.id, "partition": p.partition.value, "shape": list(p.value.data.shape)}
@@ -588,7 +617,7 @@ def save_checkpoint(registry: ParameterRegistry, path, config_hash: str):
     ).encode("utf-8")
     blob = b"".join([_CKPT_MAGIC, struct.pack("<IQ", _CKPT_VERSION, len(header)), header]
                     + [np.ascontiguousarray(p.value.data, dtype="<f8").tobytes() for p in registry])
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(blob)
         f.write(hashlib.sha256(blob).digest())
 

@@ -198,13 +198,13 @@ def _load_model(path, exp: Experiment) -> PartitionedModel:
 
 
 def _write_json(obj, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with ad.atomic_open(path) as f:
         json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
 def _write_jsonl(records, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with ad.atomic_open(path) as f:
         for rec in records:
             f.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
 
@@ -317,7 +317,7 @@ def cmd_report(args):
     md = render_table(records)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        with open(Path(args.out) / "report.md", "w", encoding="utf-8") as f:
+        with ad.atomic_open(Path(args.out) / "report.md") as f:
             f.write(md)
     print(md)
     return 0

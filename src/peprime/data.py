@@ -7,15 +7,26 @@ entity words from one shared pool, each permuted per language: tokens
 overlap across languages, the token-to-type mapping does not. That makes
 entity detection on an unseen language learnable from context alone,
 which is the structure cross-language transfer relies on here.
+
+A synthetic corpus is a function of PCG64's raw 64-bit stream alone.
+``PCG64Draws`` replays numpy ``Generator``'s ``random``, ``integers`` and
+``poisson`` over that stream in Python, draw for draw: the top 53 bits for a
+uniform double, Lemire's multiply-and-reject (Lemire, 2019) for a bounded
+integer, and for a Poisson count the multiplication method below a mean of
+10 and Hörmann's PTRS transformed rejection (Hörmann, 1993) from 10 up. So
+the corpora do not depend on ``Generator``'s distribution code, which numpy
+may change between releases (NEP 19); PCG64's raw stream it keeps stable.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import check_ranges
+from .autodiff import atomic_open, check_ranges
 
 ENTITY_TYPES = ("PER", "ORG", "LOC")
 LABELS = ("O", "B-PER", "I-PER", "B-ORG", "I-ORG", "B-LOC", "I-LOC")
@@ -149,7 +160,7 @@ def load_conll(path, max_seq_len: int | None = None) -> Corpus:
 
 
 def write_conll(corpus: Corpus, path):
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for seq in corpus:
             for tok, lab in zip(seq.tokens, seq.labels):
                 f.write(f"{tok}\t{lab}\n")
@@ -175,11 +186,120 @@ class SyntheticLanguageSpec:
         check_ranges(self, {}, positive=("mean_sentence_length",))
 
 
+_RAW_BLOCK = 4096          # raw PCG64 outputs fetched per numpy call
+_LOGGAM_COEFFS = (8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+                  -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+                  6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+                  -1.39243221690590e+00)
+
+
+class PCG64Draws:
+    """What ``np.random.default_rng(seed)`` returns, call for call, for three methods.
+
+    It reads PCG64's raw outputs in blocks and runs numpy's own algorithms on
+    them, at a fraction of the cost of a scalar ``Generator`` call:
+
+    - ``random()``: one raw output's top 53 bits times 2**-53;
+    - ``integers(n)``: numpy's ``buffered_bounded_lemire_uint32`` over 32-bit
+      halves. A raw output gives its low half and stashes its high half for
+      the next ``integers`` call, across any ``random`` calls between, as
+      PCG64's ``has_uint32`` does. ``n == 1`` draws nothing;
+    - ``poisson(lam)``: numpy's ``random_poisson``, with C's float semantics
+      where Python's differ.
+    """
+
+    def __init__(self, seed: int):
+        bitgen = np.random.default_rng(seed).bit_generator
+        blocks = iter(lambda: bitgen.random_raw(_RAW_BLOCK).tolist(), None)
+        self._next64 = itertools.chain.from_iterable(blocks).__next__
+        self._half = None
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def integers(self, n: int) -> int:
+        """Uniform on ``[0, n)`` for ``1 <= n < 2**32``."""
+        if n == 1:
+            return 0
+        threshold = (1 << 32) % n   # a product whose low half falls below it is biased
+        while True:
+            half = self._half
+            if half is None:
+                raw = self._next64()
+                self._half = raw >> 32
+                half = raw & 0xFFFFFFFF
+            else:
+                self._half = None
+            m = half * n
+            if (m & 0xFFFFFFFF) >= threshold:
+                return m >> 32
+
+    def poisson(self, lam: float) -> int:
+        if lam >= 10:
+            return self._ptrs(lam)
+        if lam == 0:
+            return 0
+        # multiply uniforms until the product falls to exp(-lam)
+        enlam = math.exp(-lam)
+        k, prod = 0, 1.0
+        while True:
+            prod *= self.random()
+            if prod <= enlam:
+                return k
+            k += 1
+
+    def _ptrs(self, lam: float) -> int:
+        """Hörmann's PTRS, term for term as numpy's ``random_poisson_ptrs``."""
+        slam, loglam = math.sqrt(lam), math.log(lam)
+        b = 0.931 + 2.53 * slam
+        a = -0.059 + 0.02483 * b
+        invalpha = 1.1239 + 1.1328 / (b - 3.4)
+        vr = 0.9277 - 3.6224 / (b - 2)
+        while True:
+            u = self.random() - 0.5
+            v = self.random()
+            us = 0.5 - abs(u)
+            if us == 0.0:   # in C, k becomes INT64_MIN and is rejected
+                continue
+            k = math.floor((2 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= vr:
+                return k
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            # C's log(0.0) is -inf, which accepts
+            if v == 0.0 or (math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
+                            <= -lam + k * loglam - _loggam(k + 1)):
+                return k
+
+
+def _loggam(x: float) -> float:
+    """log Gamma(x) for x >= 1, operation for operation as numpy's ``random_loggam``."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM_COEFFS[9]
+    for c in _LOGGAM_COEFFS[8::-1]:
+        gl0 *= x2
+        gl0 += c
+    gl = gl0 / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * math.log(x0) - x0   # log(2 pi)
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl
+
+
 def generate_language(spec: SyntheticLanguageSpec, n_sentences: int) -> Corpus:
-    """Deterministic corpus: a pure function of (spec, n_sentences)."""
+    """Deterministic corpus: a pure function of (spec, n_sentences).
+
+    Each sentence comes out valid BIO, so it needs no ``repair_bio``: every
+    span is written as a ``B-`` and then ``I-`` tags, and the cut to
+    ``length`` keeps a prefix.
+    """
     if n_sentences < 1:
         raise ValueError("n_sentences must be >= 1")
-    rng = np.random.default_rng(spec.seed)
+    rng = PCG64Draws(spec.seed)
     # the renaming draws from a stream of its own, so the sentence draws do not depend on it
     surface_rng = np.random.default_rng(spec.seed)
 
@@ -195,7 +315,7 @@ def generate_language(spec: SyntheticLanguageSpec, n_sentences: int) -> Corpus:
 
     corpus = Corpus()
     for _ in range(n_sentences):
-        length = max(3, int(rng.poisson(spec.mean_sentence_length)))
+        length = max(3, rng.poisson(spec.mean_sentence_length))
         tokens, labels = [], []
         while len(tokens) < length:
             if rng.random() < spec.entity_rate and len(tokens) + 2 <= length:
@@ -209,7 +329,7 @@ def generate_language(spec: SyntheticLanguageSpec, n_sentences: int) -> Corpus:
             else:
                 tokens.append(plain_fws[rng.integers(len(plain_fws))])
                 labels.append("O")
-        corpus.sequences.append(TaggedSequence(tokens[:length], repair_bio(labels[:length])[0]))
+        corpus.sequences.append(TaggedSequence(tokens[:length], labels[:length]))
     return corpus
 
 
@@ -340,7 +460,7 @@ def build_meta_dataset(source_corpora: dict, split: SplitSpec, vocab: Vocab) -> 
                 f"{lang}: corpus has {len(corpus)} sequences, "
                 f"need {need} for support+query"
             )
-        encoded = vocab.encode_corpus(corpus)
+        encoded = vocab.encode_corpus(Corpus(corpus.sequences[:need]))
         tasks.append(MetaTask(
             task_id=lang,
             support=encoded[:split.support_size],

@@ -87,6 +87,12 @@ class TestBackward:
         grads = ad.grads_for(quadratic_loss(w), {"w": w, "unused": unused})
         np.testing.assert_array_equal(grads["unused"], np.zeros(2))
 
+    def test_var_passed_as_parent_is_named(self):
+        w = Var(np.array([1.5]))
+        wrong = Var(w.data * 2.0, (w,), lambda g: w.node._accum(g * 2.0))
+        with pytest.raises(ad.ContractError, match=r"parents' nodes \(var.node\)"):
+            ad.backward(sum_all(wrong))
+
     def test_grad_accumulates_over_reuse(self):
         # y = w + w => dy/dw = 2
         w = Var(np.array([1.5]))
@@ -520,6 +526,25 @@ class TestCheckpoint:
         ad.save_checkpoint(reg, path, config_hash="abc123")
         with pytest.raises(ad.CheckpointError, match="config hash"):
             ad.load_checkpoint(path, expected_config_hash="other")
+
+    def test_interrupted_overwrite_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        reg = TestRegistry().make_registry()
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(reg, path, "h")
+        before = path.read_bytes()
+        for p in reg:
+            p.value.data = p.value.data + 1.0
+
+        def interrupt(blob):   # strikes between the payload and its digest
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(ad.hashlib, "sha256", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                ad.save_checkpoint(reg, path, "h")
+        assert path.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["model.ckpt"]
+        ad.load_checkpoint(path, "h")
 
     @pytest.mark.parametrize("damage,match", [
         (lambda blob: blob[:10], "truncated header"),

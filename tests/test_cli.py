@@ -480,6 +480,14 @@ class TestMatrixCommand:
         with pytest.raises(ValueError, match="JSON compliant"):
             cli._write_jsonl([{"f1": float("nan")}], tmp_path / "reports.jsonl")
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        cli._write_jsonl([{"f1": 1.0}], path)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_jsonl([{"f1": 2.0}, {"f1": float("nan")}], path)
+        assert path.read_text(encoding="utf-8") == '{"f1": 1.0}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["reports.jsonl"]
+
 
 class TestReport:
     def test_renders_bold_column_max(self, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +137,13 @@ class TestSyntheticLanguages:
         corpus = D.generate_language(spec, 100)
         assert all(is_valid_bio(s.labels) for s in corpus)
 
+    @pytest.mark.parametrize("mean_length", [3.0, 24.0])
+    def test_sentences_are_valid_bio_without_repair(self, mean_length):
+        # spans everywhere, and sentences cut inside one
+        spec = D.SyntheticLanguageSpec(seed=9, entity_rate=1.0, mean_sentence_length=mean_length)
+        corpus = D.generate_language(spec, 400)
+        assert all(is_valid_bio(s.labels) for s in corpus)
+
     def test_pooled_entities_permute_types_across_languages(self):
         # surface tokens overlap, but which type a token belongs to differs
         def type_of_token(corpus):
@@ -158,6 +168,59 @@ class TestSyntheticLanguages:
                 if lab.startswith("B-"):
                     assert i > 0
                     assert seq.tokens[i - 1].startswith("fw")
+
+
+LAMS = (0.0, 0.5, 9.0, 9.99, 10.0, 24.0, 300.0)   # both Poisson methods and the switch at 10
+
+
+class TestPCG64Draws:
+    @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)], ids=["0-99", "100-199"])
+    def test_matches_numpy_generator(self, seeds):
+        for seed in seeds:
+            plan = np.random.default_rng([seed, 1])
+            ops = plan.integers(0, 4, 2000).tolist()
+            small = plan.integers(1, 100, 2000).tolist()
+            # here 2**32 % n is up to 2**32 / 3: up to a third of these 32-bit draws are rejected
+            large = plan.integers(2**30, 2**31 + 1, 2000).tolist()
+            lam = plan.integers(0, len(LAMS), 2000).tolist()
+            gen, draws = np.random.default_rng(seed), D.PCG64Draws(seed)
+            for i, op in enumerate(ops):
+                if op == 0:
+                    got, want = draws.random(), gen.random()
+                elif op == 1:
+                    got, want = draws.integers(small[i]), gen.integers(small[i])
+                elif op == 2:
+                    got, want = draws.integers(large[i]), gen.integers(large[i])
+                else:
+                    got, want = draws.poisson(LAMS[lam[i]]), gen.poisson(LAMS[lam[i]])
+                assert got == want, (seed, i, op)
+
+    def test_loggam_is_log_gamma(self):
+        # PTRS compares against it rarely within a rounding error, so check it directly
+        for x in range(1, 2000):
+            assert D._loggam(float(x)) == pytest.approx(math.lgamma(x), rel=4e-15, abs=4e-15)
+
+
+def _corpora_digest(family, max_seq_len):
+    h = hashlib.sha256()
+    for corpora in family.corpora(max_seq_len):
+        for lang, corpus in corpora.items():
+            h.update(f"{lang} {corpus.truncated_sequences} {corpus.repaired_labels}\n".encode())
+            for seq in corpus:
+                h.update((" ".join(seq.tokens) + "\t" + " ".join(seq.labels) + "\n").encode())
+    return h.hexdigest()
+
+
+class TestSyntheticGolden:
+    """Digests recorded when the corpora were drawn through numpy's Generator."""
+
+    def test_default_family(self):
+        assert _corpora_digest(D.SyntheticFamily(), 32) == (
+            "81ea89522ceff24ce09b4a35f75729eedddd50de83bee85d3442901754b0ec4d")
+
+    def test_long_sentences_take_the_ptrs_path(self):
+        assert _corpora_digest(D.SyntheticFamily(mean_sentence_length=24.0), 64) == (
+            "3acb77ff8cf10cac7fbf0910426c325695bbadbeafc76cee2390ebd6bd2e1da0")
 
 
 class TestVocab:
