@@ -30,12 +30,11 @@ from .finetune import (
     evaluate_setting,
     finetune,
     prepare_init,
-    pretrained_encoder,
+    primed_model,
     run_matrix,
-    strip_heads,
 )
 from .model import ModelConfig, PartitionedModel
-from .priming import PrimingConfig, TrainingDiverged, ft_prime, prime
+from .priming import PrimingConfig, TrainingDiverged
 
 
 class ConfigError(ValueError):
@@ -227,25 +226,19 @@ def cmd_generate_data(args):
 
 def cmd_prime(args):
     cfg, out, exp = _start(args)
+    setting = FineTuneSetting(args.setting)
     seed = cfg["priming"]["seed"] if args.seed is None else args.seed
-    pcfg = dataclasses.replace(exp.priming, seed=seed,
-                               inner_mode=args.inner_mode or exp.priming.inner_mode)
     if args.init_checkpoint:
         base = _load_model(args.init_checkpoint, exp)
-        if not base.has_adapter:
-            raise ad.ContractError(f"{args.init_checkpoint}: priming needs a model with an "
-                                   f"adapter, and this checkpoint has none")
     else:
-        base = PartitionedModel(exp.model_config, seed=seed)
-        for pid, arr in pretrained_encoder(exp, seed).items():
-            base.registry[pid].value.data = arr.copy()
+        base = prepare_init(exp, FineTuneSetting.ADAPTER_TUNING, seed)
+    setting.check_model(base)
     log: list = []
-    runner = ft_prime if args.ft else prime
-    primed = strip_heads(runner(base, exp.meta_tasks, pcfg, log=log))
+    primed = primed_model(exp, setting, base, seed, log)
     ad.save_checkpoint(primed.registry, out / "primed.ckpt", exp.model_config.hash())
     _write_jsonl(log, out / "prime_log.jsonl")
-    print(f"primed checkpoint: {out / 'primed.ckpt'} ({pcfg.outer_steps} outer steps, "
-          f"mode={'ft' if args.ft else pcfg.inner_mode})")
+    print(f"primed checkpoint: {out / 'primed.ckpt'} ({exp.priming.outer_steps} outer steps, "
+          f"setting={setting.value})")
     return 0
 
 
@@ -272,11 +265,12 @@ def cmd_finetune(args):
 
 
 def cmd_evaluate(args):
-    _, out, exp = _start(args)
+    cfg, out, exp = _start(args)
+    seed = args.seed if args.seed is not None else cfg["seeds"][0]
     _, _, test_corpus = _target(exp, args.language)
     model = _load_model(args.init_checkpoint, exp)
     report = evaluate_setting(model, FineTuneSetting(args.setting), test_corpus, exp.vocab,
-                              args.language, args.seed or 0)
+                              args.language, seed)
     _write_jsonl([report.to_dict()], out / "report.jsonl")
     print(f"{args.language}: F1={report.f1:.2f} P={report.precision:.2f} "
           f"R={report.recall:.2f}")
@@ -386,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("generate-data", cmd_generate_data, "write corpora as CoNLL files")
     p = command("prime", cmd_prime, "run the priming stage, save checkpoint + log")
     p.add_argument("--init-checkpoint", default=None)
-    p.add_argument("--ft", action="store_true", help="use fine-tuning-based priming")
-    p.add_argument("--inner-mode", choices=["pe_sim", "full_maml"], default=None)
+    p.add_argument("--setting", default=FineTuneSetting.META_PRIME_AT.value,
+                   choices=[s.value for s in FineTuneSetting if s.priming is not None])
     p = command("finetune", cmd_finetune, "fine-tune one setting on one language", setting=True)
     p.add_argument("--init-checkpoint", default=None)
     p = command("evaluate", cmd_evaluate, "evaluate a trained checkpoint", setting=True)

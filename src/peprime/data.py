@@ -109,15 +109,14 @@ def bio_spans(labels):
 def truncate_corpus(corpus: Corpus, max_seq_len: int | None) -> Corpus:
     """Cut every sequence longer than ``max_seq_len`` in place and count it.
 
+    A prefix of valid BIO is valid BIO, so the cut labels need no repair.
     Returns ``corpus``; a corpus whose sequences all fit is left untouched.
     """
     if max_seq_len is None:
         return corpus
     for i, seq in enumerate(corpus.sequences):
         if len(seq.tokens) > max_seq_len:
-            # truncation can cut a span; re-repair keeps labels valid
-            labels, _ = repair_bio(seq.labels[:max_seq_len])
-            corpus.sequences[i] = TaggedSequence(seq.tokens[:max_seq_len], labels)
+            corpus.sequences[i] = TaggedSequence(seq.tokens[:max_seq_len], seq.labels[:max_seq_len])
             corpus.truncated_sequences += 1
     return corpus
 

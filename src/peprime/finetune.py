@@ -274,12 +274,19 @@ def prepare_init(exp: Experiment, setting: FineTuneSetting, seed: int,
     key = (kind, tuple(sorted(overrides.items())), seed)
     if primed_cache is not None and key in primed_cache:
         return primed_cache[key]
-    cfg = PrimingConfig(**{**asdict(exp.priming), **overrides, "seed": seed})
-    runner = prime if kind == "meta" else ft_prime
-    primed = strip_heads(runner(base, exp.meta_tasks, cfg))
+    primed = primed_model(exp, setting, base, seed)
     if primed_cache is not None:
         primed_cache[key] = primed
     return primed
+
+
+def primed_model(exp: Experiment, setting: FineTuneSetting, base: PartitionedModel,
+                 seed: int, log: list | None = None) -> PartitionedModel:
+    """``base`` primed by the setting's recipe at ``seed``, priming heads stripped."""
+    kind, overrides = setting.priming
+    cfg = PrimingConfig(**{**asdict(exp.priming), **overrides, "seed": seed})
+    runner = prime if kind == "meta" else ft_prime
+    return strip_heads(runner(base, exp.meta_tasks, cfg, log=log))
 
 
 def strip_heads(model: PartitionedModel) -> PartitionedModel:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from peprime import autodiff as ad
 from peprime import cli
 from peprime.data import SplitSpec, SyntheticFamily
-from peprime.finetune import FineTuneHyperparams, PretrainConfig
+from peprime.finetune import FineTuneHyperparams, FineTuneSetting, PretrainConfig, prepare_init
 from peprime.model import ModelConfig, PartitionedModel
 from peprime.priming import PrimingConfig
 
@@ -272,11 +272,24 @@ class TestPrime:
 
     def test_ft_prime_writes_log(self, tiny_config, tmp_path):
         out = tmp_path / "out"
-        assert run(["prime", "--config", tiny_config, "--out", out, "--ft"]) == 0
+        assert run(["prime", "--config", tiny_config, "--out", out,
+                    "--setting", "ft_prime_at"]) == 0
         lines = (out / "prime_log.jsonl").read_text().splitlines()
         assert len(lines) == 2 * 2  # outer_steps x tasks_per_batch
         assert all(np.isfinite(json.loads(line)["query_loss"]) for line in lines)
         assert (out / "primed.ckpt").exists()
+
+    @pytest.mark.parametrize("setting", ["meta_prime_at", "ft_prime_at", "maml_loop_prime_at"])
+    def test_primed_checkpoint_is_the_settings_init(self, tiny_config, tmp_path, setting):
+        # the CLI and the matrix prime through one path
+        out = tmp_path / "out"
+        assert run(["prime", "--config", tiny_config, "--out", out,
+                    "--setting", setting, "--seed", 0]) == 0
+        exp = cli.build_experiment(cli.load_config(tiny_config))
+        expected = prepare_init(exp, FineTuneSetting(setting), 0).registry
+        loaded = ad.load_checkpoint(out / "primed.ckpt", exp.model_config.hash())
+        assert [(p.id, p.partition, p.value.data.tobytes()) for p in loaded] == \
+            [(p.id, p.partition, p.value.data.tobytes()) for p in expected]
 
     @pytest.mark.parametrize("config,out,error", [
         ("dir", "new", "IsADirectoryError"), ("tiny", "file", "FileExistsError"),
@@ -373,16 +386,19 @@ class TestFinetuneCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "unknown target language" in err["message"]
 
-    @pytest.mark.parametrize("argv", [
-        ["finetune", "--language", "ta"],
-        ["evaluate", "--language", "ta", "--init-checkpoint", "x.ckpt"],
-        ["evaluate", "--language", "ta", "--setting", "full_ft"],
-    ], ids=["finetune_setting", "evaluate_setting", "evaluate_checkpoint"])
-    def test_missing_flag_is_a_usage_error(self, tiny_config, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv,message", [
+        (["finetune", "--language", "ta"], "required"),
+        (["evaluate", "--language", "ta", "--init-checkpoint", "x.ckpt"], "required"),
+        (["evaluate", "--language", "ta", "--setting", "full_ft"], "required"),
+        (["prime", "--setting", "full_ft"], "invalid choice: 'full_ft'"),
+        (["prime", "--ft"], "unrecognized arguments: --ft"),
+    ], ids=["finetune_setting", "evaluate_setting", "evaluate_checkpoint",
+            "prime_unprimed_setting", "prime_ft_flag"])
+    def test_missing_flag_is_a_usage_error(self, tiny_config, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--config", tiny_config, "--out", tmp_path / "o"])
         assert exc.value.code == 2
-        assert "required" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_finetuning_names_its_loop(self, tiny_config, tmp_path, capsys):
@@ -442,6 +458,21 @@ class TestEvaluateCommand:
         ft = json.loads((out1 / "report.jsonl").read_text())
         ev = json.loads((out2 / "report.jsonl").read_text())
         assert ev["f1"] == ft["f1"]
+
+    def test_report_seed_defaults_to_the_first_config_seed(self, tiny_config, tmp_path):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["seeds"] = [5]
+        path = tmp_path / "seed5.json"
+        path.write_text(json.dumps(cfg))
+        exp = cli.build_experiment(cli.load_config(path))
+        model = PartitionedModel(exp.model_config, seed=0)
+        model.add_head("target", np.random.default_rng(0))
+        ckpt = tmp_path / "finetuned.ckpt"
+        ad.save_checkpoint(model.registry, ckpt, exp.model_config.hash())
+        out = tmp_path / "ev"
+        assert run(["evaluate", "--config", path, "--out", out, "--init-checkpoint", ckpt,
+                    "--setting", "adapter_tuning", "--language", "ta"]) == 0
+        assert json.loads((out / "report.jsonl").read_text())["seed"] == 5
 
     def test_checkpoint_without_target_head_fails_cleanly(self, tiny_config, tmp_path, capsys):
         # a primed checkpoint carries the adapter but no target head

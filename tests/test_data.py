@@ -49,6 +49,14 @@ class TestBio:
         fixed, _ = D.repair_bio(labels)
         assert is_valid_bio(fixed)
 
+    @given(st.lists(st.sampled_from(D.LABELS), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_of_repaired_bio_needs_no_repair(self, labels):
+        # so truncating a repaired sequence keeps it valid as it is
+        fixed, _ = D.repair_bio(labels)
+        for k in range(len(fixed) + 1):
+            assert D.repair_bio(fixed[:k]) == (fixed[:k], 0)
+
 
 class TestConll:
     def test_empty_file(self, tmp_path):
@@ -97,7 +105,9 @@ class TestConll:
         spec = D.SyntheticLanguageSpec(seed=5, mean_sentence_length=22.0)
         corpus = D.generate_language(spec, 200)
         lengths = [len(s.tokens) for s in corpus]
+        labels = [s.labels for s in corpus]
         assert D.truncate_corpus(corpus, 32) is corpus
+        assert [s.labels for s in corpus] == [lab[:32] for lab in labels]
         assert corpus.truncated_sequences == sum(n > 32 for n in lengths) > 0
         assert [len(s.tokens) for s in corpus] == [min(n, 32) for n in lengths]
         assert all(is_valid_bio(s.labels) for s in corpus)
