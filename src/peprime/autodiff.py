@@ -71,7 +71,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -337,19 +337,16 @@ def embedding(table: Var, ids) -> Var:
     return Var(table.data[ids], (tn,), bwd)
 
 
-def softmax_rows(a: Var, additive_mask=None) -> Var:
-    """Softmax over the last axis, optionally with an additive (mask) term.
+def softmax_rows(a: Var, additive_mask) -> Var:
+    """Softmax over the last axis of ``a`` plus an additive (mask) term.
 
     The mask broadcasts against ``a``: a key mask ``[B, 1, L]`` drops
     the same keys from every query row of ``[B, L, L]`` scores.
     """
     if a.data.ndim < 2:
         raise ShapeMismatchError("softmax", a.data.shape)
-    if additive_mask is None:
-        s = a.data - a.data.max(axis=-1, keepdims=True)
-    else:
-        s = a.data + additive_mask
-        s -= s.max(axis=-1, keepdims=True)
+    s = a.data + additive_mask
+    s -= s.max(axis=-1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=-1, keepdims=True)
     an = a.node
@@ -406,7 +403,7 @@ def layer_norm(x: Var, gain: Var, bias: Var, eps: float = 1e-5) -> Var:
     return Var(out, (xn, gn, bn), bwd)
 
 
-def cross_entropy_mean(logits: Var, gold, keep_mask=None) -> Var:
+def cross_entropy_mean(logits: Var, gold, keep_mask) -> Var:
     """Softmax cross-entropy over the last axis, mean over kept positions.
 
     ``logits`` is ``[..., C]``; ``gold`` holds one label index per
@@ -417,8 +414,7 @@ def cross_entropy_mean(logits: Var, gold, keep_mask=None) -> Var:
     gold = np.asarray(gold, dtype=np.int64)
     if logits.data.ndim < 2 or gold.shape != logits.data.shape[:-1]:
         raise ShapeMismatchError("cross_entropy", logits.data.shape, gold.shape)
-    keep_mask = (np.ones(gold.shape, dtype=bool) if keep_mask is None
-                 else np.asarray(keep_mask, dtype=bool))
+    keep_mask = np.asarray(keep_mask, dtype=bool)
     if keep_mask.shape != gold.shape:
         raise ShapeMismatchError("cross_entropy", logits.data.shape, keep_mask.shape)
     n_keep = int(keep_mask.sum())
@@ -622,8 +618,8 @@ def save_checkpoint(registry: ParameterRegistry, path, config_hash: str):
         f.write(hashlib.sha256(blob).digest())
 
 
-def load_checkpoint(path, expected_config_hash: str | None = None) -> ParameterRegistry:
-    """Read a checkpoint; any file that is not exactly one raises ``CheckpointError``."""
+def load_checkpoint(path, expected_config_hash: str) -> ParameterRegistry:
+    """Read a checkpoint of config ``expected_config_hash``; any other file: ``CheckpointError``."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _CKPT_MAGIC:
@@ -647,7 +643,7 @@ def load_checkpoint(path, expected_config_hash: str | None = None) -> ParameterR
             raise ValueError("ids must be unique strings and shapes lists of ints >= 0")
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from None
-    if expected_config_hash is not None and config_hash != expected_config_hash:
+    if config_hash != expected_config_hash:
         raise CheckpointError(
             f"{path}: config hash mismatch "
             f"(checkpoint {config_hash}, expected {expected_config_hash})"
@@ -665,71 +661,6 @@ def load_checkpoint(path, expected_config_hash: str | None = None) -> ParameterR
         reg.add(pid, buf.astype(np.float64), partition)
         offset += 8 * n
     return reg
-
-
-# --- gradient verification ------------------------------------------------
-
-@dataclass
-class GradCheckEntry:
-    param_id: str
-    max_rel_err: float
-    worst_index: tuple
-    analytic: float
-    numeric: float
-
-
-@dataclass
-class GradCheckReport:
-    entries: list = field(default_factory=list)
-    tolerance: float = 1e-4
-
-    @property
-    def max_rel_err(self) -> float:
-        return max((e.max_rel_err for e in self.entries), default=0.0)
-
-    @property
-    def failures(self):
-        return [e for e in self.entries if e.max_rel_err > self.tolerance]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def finite_difference_check(loss_fn, registry: ParameterRegistry,
-                            epsilon: float = 1e-5, tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients with central finite differences.
-
-    ``loss_fn(registry)`` must return ``(loss Var, leaves dict)`` and be
-    deterministic given the registry values. Relative error is
-    ``|a - n| / max(|a|, |n|, 1e-4)`` per element.
-    """
-    loss, leaves = loss_fn(registry)
-    if not np.isfinite(loss.data):
-        raise ContractError(f"finite_difference_check: non-finite loss {loss.data}")
-    analytic = grads_for(loss, leaves)
-    report = GradCheckReport(tolerance=tolerance)
-    for pid in registry.ids():
-        arr = registry[pid].value.data
-        a = analytic[pid]
-        worst = GradCheckEntry(pid, 0.0, (), 0.0, 0.0)
-        flat = arr.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + epsilon
-            lp = float(loss_fn(registry)[0].data)
-            flat[k] = orig - epsilon
-            lm = float(loss_fn(registry)[0].data)
-            flat[k] = orig
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise ContractError(f"finite_difference_check: non-finite loss perturbing {pid}[{k}]")
-            num = (lp - lm) / (2.0 * epsilon)
-            ana = a.reshape(-1)[k]
-            rel = abs(ana - num) / max(abs(ana), abs(num), 1e-4)
-            if rel >= worst.max_rel_err:
-                worst = GradCheckEntry(pid, rel, np.unravel_index(k, arr.shape), float(ana), float(num))
-        report.entries.append(worst)
-    return report
 
 
 def check_ranges(obj, minimum: dict, positive=()):

@@ -174,12 +174,6 @@ def _target(exp: Experiment, language: str):
     return exp.targets[language]
 
 
-def _prepare_out(cfg: dict, out: Path) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg, out / "run_config.json")
-    return out
-
-
 def _start(args):
     """(merged config, output directory holding run_config.json, experiment).
 
@@ -187,7 +181,10 @@ def _start(args):
     """
     cfg = load_config(args.config)
     exp = build_experiment(cfg)
-    return cfg, _prepare_out(cfg, Path(args.out)), exp
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(cfg, out / "run_config.json")
+    return cfg, out, exp
 
 
 def _load_model(path, exp: Experiment) -> PartitionedModel:
@@ -211,9 +208,8 @@ def _write_jsonl(records, path):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_generate_data(args):
-    cfg = load_config(args.config)
+    cfg, out, _ = _start(args)      # so a config that prime would reject writes nothing
     sources, targets = build_corpora(cfg)
-    out = _prepare_out(cfg, Path(args.out))
     data_dir = out / "data"
     data_dir.mkdir(exist_ok=True)
     for role, corpora in (("source", sources), ("target", targets)):
@@ -227,7 +223,7 @@ def cmd_generate_data(args):
 def cmd_prime(args):
     cfg, out, exp = _start(args)
     setting = FineTuneSetting(args.setting)
-    seed = cfg["priming"]["seed"] if args.seed is None else args.seed
+    seed = args.seed if args.seed is not None else cfg["seeds"][0]
     if args.init_checkpoint:
         base = _load_model(args.init_checkpoint, exp)
     else:
@@ -366,18 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Priming experiments for PE fine-tuning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help, setting=False):
+    def command(name, run, help, setting=False, seed=True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
         if setting:
             p.add_argument("--setting", required=True, choices=SETTING_ORDER)
             p.add_argument("--language", required=True)
         return p
 
-    command("generate-data", cmd_generate_data, "write corpora as CoNLL files")
+    command("generate-data", cmd_generate_data, "write corpora as CoNLL files", seed=False)
     p = command("prime", cmd_prime, "run the priming stage, save checkpoint + log")
     p.add_argument("--init-checkpoint", default=None)
     p.add_argument("--setting", default=FineTuneSetting.META_PRIME_AT.value,

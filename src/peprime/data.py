@@ -394,13 +394,11 @@ class Vocab:
     def encode_tokens(self, tokens) -> np.ndarray:
         return np.array([self._index.get(t, 0) for t in tokens], dtype=np.int64)
 
-    def encode_sequence(self, seq: TaggedSequence):
-        ids = self.encode_tokens(seq.tokens)
-        labels = np.array([LABEL_TO_ID[lab] for lab in seq.labels], dtype=np.int64)
-        return ids, labels
-
     def encode_corpus(self, corpus: Corpus):
-        return [self.encode_sequence(seq) for seq in corpus]
+        """(token ids, label ids) of each sequence."""
+        return [(self.encode_tokens(seq.tokens),
+                 np.array([LABEL_TO_ID[lab] for lab in seq.labels], dtype=np.int64))
+                for seq in corpus]
 
 
 @dataclass
@@ -423,12 +421,6 @@ class MetaTask:
     task_id: str
     support: list   # encoded (token_ids, label_ids) pairs
     query: list
-
-    def support_batches(self, batch_size: int, rng):
-        return minibatches(self.support, batch_size, rng)
-
-    def query_batch(self, batch_size: int, rng):
-        return sample_batch(self.query, batch_size, rng)
 
 
 def minibatches(seqs: list, batch_size: int, rng):

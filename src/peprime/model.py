@@ -323,13 +323,3 @@ def count_trainable_fraction(config: ModelConfig, partitions,
     }
     return Fraction(sum(counts[p] for p in partitions), sum(counts.values()))
 
-
-def format_fraction_percent(frac: Fraction) -> str:
-    """One-significant-figure percentage, e.g. '100%', '0.4%', '3e-3%'."""
-    pct = float(frac) * 100.0
-    if pct >= 1.0:
-        return f"{pct:.0f}%"
-    if pct >= 0.01:
-        return f"{pct:.1g}%"
-    mantissa, exp = f"{pct:.0e}".split("e")
-    return f"{mantissa}e{int(exp)}%"

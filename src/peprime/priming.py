@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Partition
-from .data import sample_batch
+from .data import minibatches, sample_batch
 from .model import PartitionedModel
 
 SHARED_HEAD = "shared"
@@ -63,9 +63,7 @@ class PrimingConfig:
             raise ValueError(f"unknown inner_mode {self.inner_mode!r}")
 
     def lr_at(self, outer_step: int) -> float:
-        """Linear decay from beta to 0 across the step budget, no warmup."""
-        if self.outer_steps == 0:
-            return self.beta
+        """Linear decay from beta to 0 across a budget of at least one step, no warmup."""
         return self.beta * (1.0 - outer_step / self.outer_steps)
 
 
@@ -152,7 +150,7 @@ def inner_adapt(model: PartitionedModel, task, cfg: PrimingConfig, rng,
         return result
     if not task.support:
         raise ValueError(f"task {task.task_id!r} has an empty support set")
-    batches = task.support_batches(cfg.support_batch_size, rng)
+    batches = minibatches(task.support, cfg.support_batch_size, rng)
     loop = "inner step" if step_index is None else f"outer step {step_index}, inner step"
     lr = cfg.alpha if cfg.inner_mode == "pe_sim" else cfg.alpha_full
     if cfg.inner_mode == "pe_sim":
@@ -187,8 +185,8 @@ def outer_step(model: PartitionedModel, tasks, cfg: PrimingConfig, optimizer: Ad
         if first_head is None:
             first_head = {pid: inner.adapted.registry[pid].value.data
                           for pid in model.head_ids(SHARED_HEAD)}
-        loss, grads = loss_and_grads(inner.adapted, task.query_batch(cfg.query_batch_size, rng),
-                                     SHARED_HEAD, step_index, task.task_id)
+        query = sample_batch(task.query, cfg.query_batch_size, rng)
+        loss, grads = loss_and_grads(inner.adapted, query, SHARED_HEAD, step_index, task.task_id)
         for pid in meta_ids:
             meta_grads[pid] = meta_grads.get(pid, 0.0) + grads[pid]
         records.append({

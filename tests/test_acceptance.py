@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference_check
 from test_finetune import brute_force_spans, random_bio
 
 from peprime import autodiff as ad
@@ -26,8 +27,7 @@ from peprime.finetune import (
     micro_f1,
     run_setting,
 )
-from peprime.model import ModelConfig, PartitionedModel, count_trainable_fraction, \
-    format_fraction_percent
+from peprime.model import ModelConfig, PartitionedModel, count_trainable_fraction
 from peprime.priming import AdamW, PrimingConfig, SHARED_HEAD, inner_adapt, prime
 
 
@@ -73,12 +73,12 @@ def test_criterion_1_gradient_soundness():
     def loss_fn(registry):
         return model.batch_loss(batch, "t")
 
-    report = ad.finite_difference_check(loss_fn, model.registry,
-                                        epsilon=1e-5, tolerance=1e-4)
+    worst = finite_difference_check(loss_fn, model.registry, epsilon=1e-5)
+    max_rel_err = max(err for err, _ in worst.values())
     elapsed = time.time() - t0
     verdict(1, "analytic gradients match finite differences on the desk config",
-            report.passed and elapsed < 120,
-            f"max_rel_err={report.max_rel_err:.3g}, {elapsed:.1f}s")
+            max_rel_err <= 1e-4 and elapsed < 120,
+            f"max_rel_err={max_rel_err:.3g}, {elapsed:.1f}s")
 
 
 # --- 2: freezing invariants ----------------------------------------------
@@ -139,7 +139,7 @@ def test_criterion_3_meta_gradient_oracle():
     rng2 = np.random.default_rng(cfg.seed)
     for task in tasks:
         adapted = inner_adapt(model, task, cfg, rng2).adapted
-        qbatch = task.query_batch(cfg.query_batch_size, rng2)
+        qbatch = D.sample_batch(task.query, cfg.query_batch_size, rng2)
         loss, leaves = adapted.batch_loss(qbatch, SHARED_HEAD)
         grads = ad.grads_for(loss, leaves)
         for pid in (model.registry.ids(Partition.PRETRAINED)
@@ -161,7 +161,7 @@ def test_criterion_3_meta_gradient_oracle():
         picks = rng3.choice(len(tasks), size=2, replace=False)
         grads: dict = {}
         for i in picks:
-            qbatch = tasks[i].query_batch(cfg0.query_batch_size, rng3)
+            qbatch = D.sample_batch(tasks[i].query, cfg0.query_batch_size, rng3)
             loss, leaves = plain.batch_loss(qbatch, SHARED_HEAD)
             for pid, g in ad.grads_for(loss, leaves).items():
                 if plain.registry[pid].partition is not Partition.HEAD:
@@ -180,10 +180,10 @@ def test_criterion_4_parameter_accounting():
                              n_labels=7, adapter_bottleneck=64)
     head = count_trainable_fraction(mbert_like, (Partition.HEAD,))
     at = count_trainable_fraction(mbert_like, (Partition.LIGHTWEIGHT, Partition.HEAD))
-    ht_str = format_fraction_percent(head)
+    ht_pct = f"{100 * float(head):.0e}"      # one significant figure
     verdict(4, "trainable fractions at mBERT-like dims",
-            ht_str == "3e-3%" and float(at) < 0.004,
-            f"head-tuning {ht_str}, adapter-tuning {100 * float(at):.3f}%")
+            ht_pct == "3e-03" and float(at) < 0.004,
+            f"head-tuning {ht_pct}%, adapter-tuning {100 * float(at):.3f}%")
 
 
 # --- 5: F1 oracle equivalence --------------------------------------------

@@ -130,12 +130,18 @@ class TestConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and key in err["message"]
 
-    @pytest.mark.parametrize("command,edit", [
-        (["prime"], lambda c: c["priming"].update(beta=-1.0)),
-        (["generate-data"], lambda c: c["data"]["synthetic"].update(entity_rate=-1.0)),
-    ], ids=["prime_negative_beta", "generate_data_negative_entity_rate"])
+    @pytest.mark.parametrize("command,edit,message", [
+        (["prime"], lambda c: c["priming"].update(beta=-1.0),
+         "priming: beta must be > 0 (got -1.0)"),
+        (["generate-data"], lambda c: c["data"]["synthetic"].update(entity_rate=-1.0),
+         "data.synthetic: entity_rate must be in [0, 1] (got -1.0)"),
+        # neither value shapes the corpora, and prime rejects both
+        (["generate-data"], lambda c: c.update(finetune={"steps": -1}, model={"d_model": 0}),
+         "finetune: steps must be >= 0 (got -1)"),
+    ], ids=["prime_negative_beta", "generate_data_negative_entity_rate",
+            "generate_data_negative_finetune_steps"])
     def test_rejected_config_writes_no_run_config(self, tiny_config, tmp_path, capsys,
-                                                  command, edit):
+                                                  command, edit, message):
         cfg = json.loads(tiny_config.read_text())
         edit(cfg)
         path = tmp_path / "bad.json"
@@ -144,8 +150,9 @@ class TestConfig:
         rc = run(command + ["--config", path, "--out", out])
         assert rc == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigError"
-        assert not (out / "run_config.json").exists()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
+        assert not out.exists()
 
     def test_config_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.json"
@@ -279,14 +286,23 @@ class TestPrime:
         assert all(np.isfinite(json.loads(line)["query_loss"]) for line in lines)
         assert (out / "primed.ckpt").exists()
 
-    @pytest.mark.parametrize("setting", ["meta_prime_at", "ft_prime_at", "maml_loop_prime_at"])
-    def test_primed_checkpoint_is_the_settings_init(self, tiny_config, tmp_path, setting):
+    @pytest.mark.parametrize("setting,flags,seed", [
+        ("meta_prime_at", ["--seed", 0], 0),
+        ("ft_prime_at", ["--seed", 0], 0),
+        ("maml_loop_prime_at", ["--seed", 0], 0),
+        ("meta_prime_at", [], 5),       # no --seed: the config's first seed, as for finetune
+    ], ids=["meta_prime_at", "ft_prime_at", "maml_loop_prime_at", "seed_from_config"])
+    def test_primed_checkpoint_is_the_settings_init(self, tiny_config, tmp_path, setting,
+                                                    flags, seed):
         # the CLI and the matrix prime through one path
+        cfg = json.loads(tiny_config.read_text())
+        cfg["seeds"] = [5]
+        tiny_config.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert run(["prime", "--config", tiny_config, "--out", out,
-                    "--setting", setting, "--seed", 0]) == 0
+                    "--setting", setting] + flags) == 0
         exp = cli.build_experiment(cli.load_config(tiny_config))
-        expected = prepare_init(exp, FineTuneSetting(setting), 0).registry
+        expected = prepare_init(exp, FineTuneSetting(setting), seed).registry
         loaded = ad.load_checkpoint(out / "primed.ckpt", exp.model_config.hash())
         assert [(p.id, p.partition, p.value.data.tobytes()) for p in loaded] == \
             [(p.id, p.partition, p.value.data.tobytes()) for p in expected]
@@ -392,8 +408,9 @@ class TestFinetuneCommand:
         (["evaluate", "--language", "ta", "--setting", "full_ft"], "required"),
         (["prime", "--setting", "full_ft"], "invalid choice: 'full_ft'"),
         (["prime", "--ft"], "unrecognized arguments: --ft"),
+        (["generate-data", "--seed", "9"], "unrecognized arguments: --seed 9"),
     ], ids=["finetune_setting", "evaluate_setting", "evaluate_checkpoint",
-            "prime_unprimed_setting", "prime_ft_flag"])
+            "prime_unprimed_setting", "prime_ft_flag", "generate_data_seed"])
     def test_missing_flag_is_a_usage_error(self, tiny_config, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--config", tiny_config, "--out", tmp_path / "o"])

@@ -286,7 +286,7 @@ class TestMetaDataset:
         task = D.build_meta_dataset(corpora, D.SplitSpec(), vocab)[0]
         def draw(seed):
             rng = np.random.default_rng(seed)
-            gen = task.support_batches(8, rng)
+            gen = D.minibatches(task.support, 8, rng)
             return [tuple(map(tuple, (t.tolist() for t, _ in next(gen)))) for _ in range(40)]
         assert draw(3) == draw(3)
         assert draw(3) != draw(4)

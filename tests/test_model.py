@@ -10,7 +10,6 @@ from peprime.model import (
     ModelConfig,
     PartitionedModel,
     count_trainable_fraction,
-    format_fraction_percent,
 )
 from graph_helpers import sum_all
 from test_autodiff import use_zero_fill
@@ -408,7 +407,7 @@ class TestBatchedEngine:
 class TestTrainableFraction:
     def test_head_tuning_formats_to_paper_value(self):
         frac = count_trainable_fraction(MBERT_LIKE, (Partition.HEAD,))
-        assert format_fraction_percent(frac) == "3e-3%"
+        assert f"{100 * float(frac):.0e}" == "3e-03"      # the paper's 3e-3%
 
     def test_adapter_tuning_below_threshold(self):
         frac = count_trainable_fraction(
@@ -418,7 +417,6 @@ class TestTrainableFraction:
     def test_full_finetuning_is_everything(self):
         frac = count_trainable_fraction(MBERT_LIKE, ALL_PARTITIONS)
         assert frac == 1
-        assert format_fraction_percent(frac) == "100%"
 
     def test_fraction_matches_instantiated_registry(self):
         cfg = ModelConfig(vocab_size=60)

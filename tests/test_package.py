@@ -9,9 +9,6 @@ SRC = Path(peprime.__file__).resolve().parent
 
 # names kept without a caller in the package, each for a reason outside it
 UNREFERENCED_OK = {
-    "finite_difference_check": "the gradient oracle of tests/test_acceptance.py, criterion 1",
-    "GradCheckReport.passed": "the verdict read from finite_difference_check's report",
-    "format_fraction_percent": "formats the trainable fractions of criterion 4",
     "priming_recipe": "perfbench/pipeline.py picks each workload's priming with it",
 }
 

@@ -119,7 +119,7 @@ class TestInnerAdapt:
         result = inner_adapt(model, task, c, np.random.default_rng(5))
         expected = model.clone()
         light = expected.registry.ids(Partition.LIGHTWEIGHT) + expected.head_ids(SHARED_HEAD)
-        batches = task.support_batches(c.support_batch_size, np.random.default_rng(5))
+        batches = D.minibatches(task.support, c.support_batch_size, np.random.default_rng(5))
         losses = []
         for _ in range(c.inner_steps):
             loss, leaves = expected.batch_loss(next(batches), SHARED_HEAD)
@@ -226,7 +226,7 @@ class TestOuterStep:
             adapted = inner_adapt(expected, task, c, rng).adapted
             if first_head is None:
                 first_head = adapted
-            qbatch = task.query_batch(c.query_batch_size, rng)
+            qbatch = D.sample_batch(task.query, c.query_batch_size, rng)
             loss, leaves = adapted.batch_loss(qbatch, SHARED_HEAD)
             grads = ad.grads_for(loss, leaves)
             for pid in meta_ids:
