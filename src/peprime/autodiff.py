@@ -2,10 +2,9 @@
 
 Everything is float64. A forward pass returns ``Var``s, each a value and
 a tape ``Node``; ``backward`` walks the nodes once in reverse topological
-order and accumulates gradients into ``Node.grad``, which ``Var.grad``
-reads. Parameters live in a ``ParameterRegistry``
-keyed by stable string ids, each tagged with the partition it belongs to
-(PRETRAINED / LIGHTWEIGHT / HEAD).
+order and accumulates gradients into ``Var.node.grad``. Parameters live
+in a ``ParameterRegistry`` keyed by stable string ids, each tagged with
+the partition it belongs to (PRETRAINED / LIGHTWEIGHT / HEAD).
 
 Batches: every primitive acts on the last axis (or the last two, for
 ``matmul`` and ``transpose``) and carries any leading axes along, so one
@@ -156,7 +155,7 @@ class Var:
     gradient iff one of those nodes does, and otherwise gets ``NO_GRAD``
     and drops both. The value is referenced only from here, so it is freed
     when the forward code drops the ``Var``, unless a closure saved it.
-    ``grad`` and ``requires_grad`` read through to the node.
+    Its gradient and ``requires_grad`` are read from ``node``.
     """
 
     __slots__ = ("data", "node")
@@ -164,21 +163,18 @@ class Var:
     def __init__(self, data, parents=(), backward=None, requires_grad=True):
         self.data = np.asarray(data, dtype=np.float64)
         if parents:
-            for p in parents:
-                if p.requires_grad:
-                    self.node = Node(tuple(parents), backward)
+            try:
+                for p in parents:
+                    if p.requires_grad:
+                        break
+                else:
+                    self.node = NO_GRAD
                     return
-            self.node = NO_GRAD
+            except AttributeError:
+                pass        # a Var passed for its node: backward names the mistake
+            self.node = Node(tuple(parents), backward)
         else:
             self.node = Node() if requires_grad else NO_GRAD
-
-    @property
-    def grad(self):
-        return self.node.grad
-
-    @property
-    def requires_grad(self) -> bool:
-        return self.node.requires_grad
 
 
 def _sum_leading(g):
@@ -464,7 +460,7 @@ def backward(loss: Var) -> None:
                     stack.append((p, False))
     except AttributeError:
         # caught here rather than checked in Var.__init__, which every forward op pays for
-        if isinstance(node, Var):
+        if isinstance(p, Var):
             raise ContractError("a Var was passed as a parent: Var(data, parents, backward) "
                                 "takes its parents' nodes (var.node), not their Vars") from None
         raise
@@ -643,17 +639,17 @@ def load_checkpoint(path, expected_config_hash: str) -> ParameterRegistry:
             raise ValueError("ids must be unique strings and shapes lists of ints >= 0")
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: malformed header ({exc})") from None
-    if config_hash != expected_config_hash:
-        raise CheckpointError(
-            f"{path}: config hash mismatch "
-            f"(checkpoint {config_hash}, expected {expected_config_hash})"
-        )
     expected_len = offset + 8 * sum(math.prod(shape) for shape in shapes) + _CKPT_DIGEST
     if len(blob) != expected_len:
         kind = "truncated payload" if len(blob) < expected_len else "trailing bytes"
         raise CheckpointError(f"{path}: {kind} ({len(blob)} bytes, expected {expected_len})")
     if hashlib.sha256(blob[:-_CKPT_DIGEST]).digest() != blob[-_CKPT_DIGEST:]:
         raise CheckpointError(f"{path}: checksum mismatch")
+    if config_hash != expected_config_hash:     # only an intact file names another config
+        raise CheckpointError(
+            f"{path}: config hash mismatch "
+            f"(checkpoint {config_hash}, expected {expected_config_hash})"
+        )
     reg = ParameterRegistry()
     for pid, shape, partition in zip(ids, shapes, partitions):
         n = math.prod(shape)

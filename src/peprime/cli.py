@@ -6,6 +6,8 @@ every artifact; the merged config is copied into the output directory next
 to the results. ``DEFAULT_CONFIG`` takes each section's defaults from its
 config dataclass. An unknown key or a value of another JSON type than its
 default is a ``ConfigError``; the dataclasses check the value ranges.
+A field that another source fixes is not a key: ``vocab_size`` and
+``n_labels`` come from the data, ``inner_mode`` from the settings row.
 """
 
 from __future__ import annotations
@@ -41,10 +43,13 @@ class ConfigError(ValueError):
     pass
 
 
-def _defaults(cls) -> dict:
-    """The field defaults of a config dataclass; a field without one is not a config key."""
+def _defaults(cls, *fixed) -> dict:
+    """The field defaults of a config dataclass; a field without one, or named
+    in ``fixed``, is not a config key."""
     defaults = {}
     for f in dataclasses.fields(cls):
+        if f.name in fixed:
+            continue
         if f.default_factory is not dataclasses.MISSING:
             defaults[f.name] = f.default_factory()
         elif f.default is not dataclasses.MISSING:
@@ -54,8 +59,8 @@ def _defaults(cls) -> dict:
 
 # only the seeds have no dataclass to take defaults from
 DEFAULT_CONFIG = {
-    "model": _defaults(ModelConfig),
-    "priming": _defaults(PrimingConfig),
+    "model": _defaults(ModelConfig, "n_labels"),
+    "priming": _defaults(PrimingConfig, "inner_mode"),
     "finetune": _defaults(FineTuneHyperparams),
     "pretrain": _defaults(PretrainConfig),
     "data": {"synthetic": _defaults(D.SyntheticFamily), "split": _defaults(D.SplitSpec)},
@@ -136,8 +141,6 @@ def build_corpora(cfg: dict):
 
 
 def build_experiment(cfg: dict) -> Experiment:
-    if cfg["model"]["n_labels"] != len(D.LABELS):
-        raise ConfigError(f"model.n_labels must be {len(D.LABELS)}, the size of the label set")
     split = _section(D.SplitSpec, "data.split", cfg["data"]["split"])
     priming = _section(PrimingConfig, "priming", cfg["priming"])
     hyper = _section(FineTuneHyperparams, "finetune", cfg["finetune"])
@@ -151,7 +154,8 @@ def build_experiment(cfg: dict) -> Experiment:
         vocab=vocab,
         meta_tasks=meta_tasks,
         targets=target_splits,
-        model_config=_section(ModelConfig, "model", cfg["model"], vocab_size=len(vocab)),
+        model_config=_section(ModelConfig, "model", cfg["model"], vocab_size=len(vocab),
+                              n_labels=len(D.LABELS)),
         priming=priming,
         hyper=hyper,
         pretrain=pretrain,
@@ -216,7 +220,8 @@ def cmd_generate_data(args):
         for lang, corpus in corpora.items():
             D.write_conll(corpus, data_dir / f"{role}_{lang}.conll")
             print(f"wrote {role}_{lang}.conll: {len(corpus)} sentences, "
-                  f"spans {corpus.span_type_counts()}")
+                  f"spans {corpus.span_type_counts()}, truncated {corpus.truncated_sequences}, "
+                  f"repaired labels {corpus.repaired_labels}")
     return 0
 
 

@@ -106,14 +106,12 @@ def bio_spans(labels):
 
 # --- CoNLL column format --------------------------------------------------
 
-def truncate_corpus(corpus: Corpus, max_seq_len: int | None) -> Corpus:
+def truncate_corpus(corpus: Corpus, max_seq_len: int) -> Corpus:
     """Cut every sequence longer than ``max_seq_len`` in place and count it.
 
     A prefix of valid BIO is valid BIO, so the cut labels need no repair.
     Returns ``corpus``; a corpus whose sequences all fit is left untouched.
     """
-    if max_seq_len is None:
-        return corpus
     for i, seq in enumerate(corpus.sequences):
         if len(seq.tokens) > max_seq_len:
             corpus.sequences[i] = TaggedSequence(seq.tokens[:max_seq_len], seq.labels[:max_seq_len])
@@ -121,7 +119,7 @@ def truncate_corpus(corpus: Corpus, max_seq_len: int | None) -> Corpus:
     return corpus
 
 
-def load_conll(path, max_seq_len: int | None = None) -> Corpus:
+def load_conll(path, max_seq_len: int) -> Corpus:
     """Read token<TAB>tag lines with blank-line sentence separators.
 
     Invalid BIO transitions are repaired (I-X -> B-X) and counted;
@@ -360,7 +358,7 @@ class SyntheticFamily:
                                             self.mean_sentence_length)
                 for i, lang in enumerate(self.sources + self.targets)}
 
-    def corpora(self, max_seq_len: int | None = None):
+    def corpora(self, max_seq_len: int):
         """(source corpora, target corpora) by language, truncated to ``max_seq_len``."""
         specs = self._specs()
 

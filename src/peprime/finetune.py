@@ -130,16 +130,15 @@ def micro_f1(gold_sequences, pred_sequences) -> EvalReport:
 
 
 def predict_corpus(model: PartitionedModel, corpus: Corpus, vocab: Vocab):
-    """Target-head labels per sequence, in corpus order, one padded batch per chunk."""
+    """Target-head labels per sequence, in corpus order, one padded batch per chunk.
+
+    A sequence longer than ``max_seq_len`` is ``encode``'s ``ContractError``;
+    the CLI's corpora are cut to fit by ``data.truncate_corpus``.
+    """
     preds, seqs = [], list(corpus)
-    max_len = model.config.max_seq_len
     for lo in range(0, len(seqs), PREDICT_CHUNK):
-        chunk = seqs[lo:lo + PREDICT_CHUNK]
-        ids = [vocab.encode_tokens(seq.tokens[:max_len]) for seq in chunk]
-        for seq, row in zip(chunk, model.predict(ids, TARGET_HEAD)):
-            labels = [LABELS[i] for i in row]
-            labels += ["O"] * (len(seq.tokens) - len(row))  # truncated tail predicts O
-            preds.append(labels)
+        ids = [vocab.encode_tokens(seq.tokens) for seq in seqs[lo:lo + PREDICT_CHUNK]]
+        preds += [[LABELS[i] for i in row] for row in model.predict(ids, TARGET_HEAD)]
     return preds
 
 
@@ -212,7 +211,8 @@ class PretrainConfig:
     """Desk-scale stand-in for the pretrained model every setting starts from.
 
     Multi-task training of the bare encoder (+ per-source heads, later
-    discarded) on the source languages. Zero steps means a random
+    discarded) on the source languages, each step a batch from every
+    source, so no ``priming`` key shapes it. Zero steps means a random
     encoder plays the pretrained model.
     """
 
@@ -247,7 +247,7 @@ def pretrained_encoder(exp: Experiment, seed: int,
     if exp.pretrain.steps > 0:
         cfg = PrimingConfig(beta=exp.pretrain.lr, outer_steps=exp.pretrain.steps,
                             support_batch_size=exp.pretrain.batch_size,
-                            tasks_per_outer_batch=exp.priming.tasks_per_outer_batch,
+                            tasks_per_outer_batch=len(exp.meta_tasks),
                             seed=seed)
         base = ft_prime(base, exp.meta_tasks, cfg)
     values = {pid: base.registry[pid].value.data.copy()
@@ -316,18 +316,18 @@ MATRIX_CELLS = {
 }
 
 
-def run_matrix(exp: Experiment, seeds, languages=None):
-    """2x2 grid {downstream in {at, full_ft}} x {priming in {pe_sim, full_sim}}.
+def run_matrix(exp: Experiment, seeds):
+    """2x2 grid {downstream in {at, full_ft}} x {priming in {pe_sim, full_sim}}
+    over every target language.
 
     Returns (mean-F1 matrix dict, list of per-run EvalReports).
     """
-    languages = list(exp.targets) if languages is None else list(languages)
     reports = []
     cells = {key: [] for key in MATRIX_CELLS}
     for seed in seeds:
         primed_cache: dict = {}
         for key, setting in MATRIX_CELLS.items():
-            for lang in languages:
+            for lang in exp.targets:
                 rep = run_setting(exp, setting, lang, seed, primed_cache)
                 reports.append(rep)
                 cells[key].append(rep.f1)

@@ -58,7 +58,7 @@ class ModelConfig:
     n_heads: int = 2
     d_ff: int = 64
     max_seq_len: int = 32
-    n_labels: int = 7
+    n_labels: int = 7              # from the data, as vocab_size is; not a config key
     adapter_bottleneck: int = 8
 
     def __post_init__(self):

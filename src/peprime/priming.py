@@ -47,7 +47,7 @@ class PrimingConfig:
     alpha: float = 0.03            # inner SGD lr when simulating PE fine-tuning
     beta: float = 5e-4             # outer AdamW lr, decayed linearly to 0; full scale: 5e-5
     inner_steps: int = 5
-    inner_mode: str = "pe_sim"     # pe_sim | full_maml
+    inner_mode: str = "pe_sim"     # pe_sim | full_maml; from the settings row, not the config
     alpha_full: float = 1e-4       # inner lr (all partitions) in full_maml mode
     tasks_per_outer_batch: int = 2
     outer_steps: int = 400         # full scale: 200

@@ -58,12 +58,12 @@ class TestBackward:
     def test_sum_grad_all_ones(self):
         w = Var(np.arange(6.0).reshape(2, 3))
         ad.backward(sum_all(w))
-        np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(w.node.grad, np.ones((2, 3)))
 
     def test_quadratic_grad(self):
         w = Var(np.array([3.0, 4.0]))
         ad.backward(quadratic_loss(w))
-        np.testing.assert_array_equal(w.grad, [3.0, 4.0])
+        np.testing.assert_array_equal(w.node.grad, [3.0, 4.0])
 
     def test_backward_rejects_non_scalar(self):
         with pytest.raises(ad.ContractError, match="scalar"):
@@ -76,7 +76,7 @@ class TestBackward:
             s = ad.softmax_rows(ad.matmul(ad.gelu(a), b), 0.0)
             loss = ad.cross_entropy_mean(s, [0, 1, 0], np.ones(3, dtype=bool))
             ad.backward(loss)
-            return a.grad.copy(), b.grad.copy()
+            return a.node.grad.copy(), b.node.grad.copy()
         ga1, gb1 = run()
         ga2, gb2 = run()
         np.testing.assert_array_equal(ga1, ga2)
@@ -98,7 +98,7 @@ class TestBackward:
         # y = w + w => dy/dw = 2
         w = Var(np.array([1.5]))
         ad.backward(sum_all(ad.add(w, w)))
-        np.testing.assert_array_equal(w.grad, [2.0])
+        np.testing.assert_array_equal(w.node.grad, [2.0])
 
     def test_composed_ops_match_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -143,13 +143,13 @@ class TestPrunedBackward:
     def test_requires_grad_propagates(self):
         t = Var(np.ones((2, 2)))
         f = Var(np.ones((2, 2)), requires_grad=False)
-        assert t.requires_grad and not f.requires_grad
-        assert ad.matmul(t, f).requires_grad and ad.matmul(f, t).requires_grad
-        assert not ad.matmul(f, f).requires_grad
-        assert not ad.relu(ad.scale(f, 2.0)).requires_grad
-        assert ad.concat_cols([f, f, t]).requires_grad
+        assert t.node.requires_grad and not f.node.requires_grad
+        assert ad.matmul(t, f).node.requires_grad and ad.matmul(f, t).node.requires_grad
+        assert not ad.matmul(f, f).node.requires_grad
+        assert not ad.relu(ad.scale(f, 2.0)).node.requires_grad
+        assert ad.concat_cols([f, f, t]).node.requires_grad
         assert not ad.layer_norm(f, Var(np.ones(2), requires_grad=False),
-                                 Var(np.zeros(2), requires_grad=False)).requires_grad
+                                 Var(np.zeros(2), requires_grad=False)).node.requires_grad
 
     def test_frozen_leaves_get_no_entry(self):
         w = Var(np.array([[1.0, 2.0]]))
@@ -160,13 +160,13 @@ class TestPrunedBackward:
         assert set(grads) == {"w", "unused"}
         np.testing.assert_array_equal(grads["w"], [[3.0, 4.0]])
         np.testing.assert_array_equal(grads["unused"], [0.0])
-        assert frozen.grad is None
+        assert frozen.node.grad is None
 
     def test_loss_without_trainable_leaves_is_a_no_op(self):
         f = Var(np.array([1.0, 2.0]), requires_grad=False)
         loss = quadratic_loss(f)
         assert ad.grads_for(loss, {"f": f}) == {}
-        assert loss.grad is None and f.grad is None
+        assert loss.node.grad is None and f.node.grad is None
 
     @pytest.mark.parametrize("case", range(len(_binary_cases())),
                              ids=[c[0] for c in _binary_cases()])
@@ -177,8 +177,8 @@ class TestPrunedBackward:
         for keep in range(len(arrays)):
             pruned = [Var(a, requires_grad=(i == keep)) for i, a in enumerate(arrays)]
             ad.backward(_scalar_loss(build(*pruned)))
-            assert pruned[keep].grad.tobytes() == full[keep].grad.tobytes()
-            assert all(p.grad is None for i, p in enumerate(pruned) if i != keep)
+            assert pruned[keep].node.grad.tobytes() == full[keep].node.grad.tobytes()
+            assert all(p.node.grad is None for i, p in enumerate(pruned) if i != keep)
 
     @pytest.mark.parametrize("frozen", [
         (Partition.PRETRAINED,),
@@ -354,16 +354,16 @@ class TestSharedGradients:
         ad.backward(_scalar_loss(fan_out_graph(Var(operands[0], requires_grad=False),
                                                Var(operands[1], requires_grad=False),
                                                alone, add_first)))
-        assert sib.grad.tobytes() == alone.grad.tobytes()
-        assert not np.shares_memory(sib.grad, w.grad)
-        assert not np.shares_memory(sib.grad, table.grad)
+        assert sib.node.grad.tobytes() == alone.node.grad.tobytes()
+        assert not np.shares_memory(sib.node.grad, w.node.grad)
+        assert not np.shares_memory(sib.node.grad, table.node.grad)
 
     @pytest.mark.parametrize("add_first", [True, False], ids=["add_first", "slices_first"])
     def test_fan_out_matches_zero_fill(self, operands, add_first, monkeypatch):
         def grads():
             leaves = [Var(a) for a in operands]
             ad.backward(_scalar_loss(fan_out_graph(*leaves, add_first)))
-            return [v.grad.tobytes() for v in leaves]
+            return [v.node.grad.tobytes() for v in leaves]
         fast = grads()
         calls = use_zero_fill(monkeypatch)
         assert grads() == fast
@@ -381,7 +381,7 @@ class TestSharedGradients:
             leaves = [Var(a) for a in arrays]
             out = build(*leaves)
             ad.backward(out if out.data.shape == () else _scalar_loss(out))
-            return [v.grad for v in leaves]
+            return [v.node.grad for v in leaves]
         fast = [(g + 0.0).tobytes() for g in grads()]
         calls = use_zero_fill(monkeypatch)
         assert [g.tobytes() for g in grads()] == fast
@@ -392,7 +392,7 @@ class TestNoTape:
     def test_no_grad_nodes_keep_no_parents_or_closures(self):
         frozen = [Var(np.ones((2, 3, 3)), requires_grad=False) for _ in range(2)]
         out = ad.softmax_rows(ad.matmul(*frozen), 0.0)
-        assert not out.requires_grad
+        assert not out.node.requires_grad
         assert out.node is ad.NO_GRAD
         assert ad.NO_GRAD.parents == () and ad.NO_GRAD.backward is None
 
@@ -422,8 +422,8 @@ class TestNoTape:
         hidden = ad.matmul(w, x)
         loss = sum_all(ad.gelu(hidden))
         ad.backward(loss)
-        assert w.grad is not None and x.grad is not None
-        assert hidden.grad is None and loss.grad is None
+        assert w.node.grad is not None and x.node.grad is not None
+        assert hidden.node.grad is None and loss.node.grad is None
 
 
 class TestRegistry:
@@ -489,6 +489,15 @@ class TestCheckpoint:
         ad.save_checkpoint(reg, path, config_hash="abc123")
         with pytest.raises(ad.CheckpointError, match="config hash"):
             ad.load_checkpoint(path, expected_config_hash="other")
+
+    def test_damaged_config_hash_is_damage(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ad.save_checkpoint(TestRegistry().make_registry(), path, config_hash="abc123")
+        blob = path.read_bytes()
+        assert blob.count(b'"abc123"') == 1
+        path.write_bytes(blob.replace(b'"abc123"', b'"zbc123"'))
+        with pytest.raises(ad.CheckpointError, match="checksum mismatch"):
+            ad.load_checkpoint(path, expected_config_hash="abc123")
 
     def test_interrupted_overwrite_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         reg = TestRegistry().make_registry()

@@ -96,7 +96,7 @@ class TestConfig:
         (lambda c: c["data"]["split"].update(train_size=0), "data.split: train_size"),
         (lambda c: c["finetune"].update(steps=-3), "finetune: steps"),
         (lambda c: c["model"].update(n_heads=0), "model: n_heads"),
-        (lambda c: c["model"].update(n_labels=3), "model.n_labels must be 7"),
+        (lambda c: c["model"].update(n_labels=3), "unknown key model.n_labels"),
         (lambda c: c["data"]["synthetic"].update(entity_rate=-1.0),
          "data.synthetic: entity_rate must be in [0, 1]"),
         (lambda c: c["data"]["synthetic"].update(entity_rate=1.5),
@@ -133,12 +133,16 @@ class TestConfig:
     @pytest.mark.parametrize("command,edit,message", [
         (["prime"], lambda c: c["priming"].update(beta=-1.0),
          "priming: beta must be > 0 (got -1.0)"),
+        # the inner mode comes from the --setting row alone
+        (["prime", "--setting", "meta_prime_at"],
+         lambda c: c["priming"].update(inner_mode="full_maml"),
+         "bad config: unknown key priming.inner_mode"),
         (["generate-data"], lambda c: c["data"]["synthetic"].update(entity_rate=-1.0),
          "data.synthetic: entity_rate must be in [0, 1] (got -1.0)"),
         # neither value shapes the corpora, and prime rejects both
         (["generate-data"], lambda c: c.update(finetune={"steps": -1}, model={"d_model": 0}),
          "finetune: steps must be >= 0 (got -1)"),
-    ], ids=["prime_negative_beta", "generate_data_negative_entity_rate",
+    ], ids=["prime_negative_beta", "prime_inner_mode", "generate_data_negative_entity_rate",
             "generate_data_negative_finetune_steps"])
     def test_rejected_config_writes_no_run_config(self, tiny_config, tmp_path, capsys,
                                                   command, edit, message):
@@ -153,6 +157,19 @@ class TestConfig:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "ConfigError", "message": message}
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [s for s in FineTuneSetting if s.priming is None],
+                             ids=lambda s: s.value)
+    def test_unprimed_init_reads_no_priming_key(self, tiny_config, setting):
+        """Pretraining draws every source at each step, whatever ``priming`` says."""
+        inits = []
+        for tasks in (1, 2):
+            cfg = cli.load_config(tiny_config)
+            cfg["pretrain"]["steps"] = 2
+            cfg["priming"]["tasks_per_outer_batch"] = tasks
+            registry = prepare_init(cli.build_experiment(cfg), setting, 0).registry
+            inits.append([(p.id, p.value.data.tobytes()) for p in registry])
+        assert inits[0] == inits[1]
 
     def test_config_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.json"
@@ -246,6 +263,21 @@ class TestLongSentences:
 
 
 class TestGenerateData:
+    def test_prints_the_corpus_counters(self, tiny_config, tmp_path, capsys):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["data"]["synthetic"]["mean_sentence_length"] = 22.0   # max_seq_len 32
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(cfg))
+        sources, targets = cli.build_corpora(cli.load_config(path))
+        corpora = {**{f"source_{l}": c for l, c in sources.items()},
+                   **{f"target_{l}": c for l, c in targets.items()}}
+        assert sum(c.truncated_sequences for c in corpora.values()) > 0
+        assert run(["generate-data", "--config", path, "--out", tmp_path / "out"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"wrote {name}.conll: {len(c)} sentences, spans {c.span_type_counts()}, "
+                         f"truncated {c.truncated_sequences}, repaired labels {c.repaired_labels}"
+                         for name, c in corpora.items()]
+
     def test_writes_corpora(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         assert run(["generate-data", "--config", tiny_config, "--out", out]) == 0

@@ -62,12 +62,12 @@ class TestConll:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.conll"
         p.write_text("")
-        assert len(D.load_conll(p)) == 0
+        assert len(D.load_conll(p, 32)) == 0
 
     def test_two_sentence_fixture(self, tmp_path):
         p = tmp_path / "fix.conll"
         p.write_text(FIXTURE)
-        corpus = D.load_conll(p)
+        corpus = D.load_conll(p, 32)
         assert len(corpus) == 2
         assert corpus.span_type_counts() == {"PER": 1, "ORG": 0, "LOC": 1}
         assert corpus.repaired_labels == 0
@@ -75,7 +75,7 @@ class TestConll:
     def test_sentence_initial_inside_is_repaired(self, tmp_path):
         p = tmp_path / "bad.conll"
         p.write_text("Smith\tI-PER\n\n")
-        corpus = D.load_conll(p)
+        corpus = D.load_conll(p, 32)
         assert corpus.sequences[0].labels == ["B-PER"]
         assert corpus.repaired_labels == 1
 
@@ -83,13 +83,13 @@ class TestConll:
         p = tmp_path / "bad.conll"
         p.write_text("a\tO\nb\tB-MISC\n")
         with pytest.raises(D.ConllParseError, match=r":2: unknown tag 'B-MISC'"):
-            D.load_conll(p)
+            D.load_conll(p, 32)
 
     def test_malformed_line_reports_line(self, tmp_path):
         p = tmp_path / "bad.conll"
         p.write_text("lonely\n")
         with pytest.raises(D.ConllParseError, match=":1:"):
-            D.load_conll(p)
+            D.load_conll(p, 32)
 
     def test_truncation_counted_and_valid(self, tmp_path):
         p = tmp_path / "long.conll"
@@ -124,7 +124,7 @@ class TestConll:
         corpus = D.generate_language(spec, 20)
         p = tmp_path / "rt.conll"
         D.write_conll(corpus, p)
-        loaded = D.load_conll(p)
+        loaded = D.load_conll(p, 32)
         assert [s.tokens for s in loaded] == [s.tokens for s in corpus]
         assert [s.labels for s in loaded] == [s.labels for s in corpus]
 

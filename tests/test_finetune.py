@@ -267,14 +267,20 @@ class TestFinetune:
         model = PartitionedModel(cfg, seed=0)
         model.add_head(TARGET_HEAD, np.random.default_rng(0))
         corpus = D.Corpus(list(val) + list(test) + list(val))   # more than one chunk of 32
-        corpus.sequences[3] = D.TaggedSequence(["w"] * 40, ["O"] * 40)  # longer than max_seq_len
         assert len(corpus) > 32
-        expected = []
-        for seq in corpus:
-            ids = vocab.encode_tokens(seq.tokens[:cfg.max_seq_len])
-            labels = [D.LABELS[i] for i in model.predict([ids], TARGET_HEAD)[0]]
-            expected.append(labels + ["O"] * (len(seq.tokens) - len(labels)))
+        expected = [[D.LABELS[i] for i in model.predict([vocab.encode_tokens(seq.tokens)],
+                                                         TARGET_HEAD)[0]]
+                    for seq in corpus]
         assert predict_corpus(model, corpus, vocab) == expected
+
+    def test_predict_corpus_refuses_a_sequence_longer_than_max_seq_len(self):
+        cfg, vocab, _, val, _ = tiny_setup()
+        model = PartitionedModel(cfg, seed=0)
+        model.add_head(TARGET_HEAD, np.random.default_rng(0))
+        corpus = D.Corpus(list(val))
+        corpus.sequences[3] = D.TaggedSequence(["w"] * 40, ["O"] * 40)
+        with pytest.raises(ad.ContractError, match="sequence length 40 exceeds max_seq_len 32"):
+            predict_corpus(model, corpus, vocab)
 
     def test_existing_target_head_rejected(self):
         cfg, vocab, train, val, _ = tiny_setup()

@@ -536,7 +536,7 @@ class TestMemoryContract:
         del hidden
         ad.backward(loss)
         assert saved() is not None      # backward leaves the graph whole
-        assert leaves["enc.0.attn.wq"].grad is not None
+        assert leaves["enc.0.attn.wq"].node.grad is not None
         del loss
         assert saved() is None
 
